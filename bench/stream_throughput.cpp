@@ -5,6 +5,7 @@
 //                                   [--spill-mb=N] [--no-speed-check]
 //                                   [--no-memory-check] [--json=PATH]
 //                                   [--io-backend=auto|uring|poll]
+//   ./build/bench/stream_throughput --help   (prints usage, exits 0)
 //
 // --io-backend forces the kq::io engine for every streaming scenario
 // (default auto: kernel probe). Independent of that, the saturating-read
@@ -376,9 +377,26 @@ bool has_flag(int argc, char** argv, const char* name) {
   return false;
 }
 
+void usage(std::ostream& out) {
+  out << "usage: stream_throughput [--mb=N] [--block-kb=N] [--k=N] "
+         "[--spill-mb=N]\n"
+         "                         [--no-speed-check] [--no-memory-check] "
+         "[--json=PATH]\n"
+         "                         [--io-backend=auto|uring|poll]\n"
+         "\n"
+         "Streaming vs batch throughput and peak RSS on a generated input\n"
+         "(default 256 MiB, 1 MiB blocks, k=4, spill threshold\n"
+         "max(8 MiB, input/8)). Exits 1 when a speed, memory or output\n"
+         "check fails. CI's smoke run: --mb=16 --block-kb=64 --spill-mb=2.\n";
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
+  if (has_flag(argc, argv, "--help") || has_flag(argc, argv, "-h")) {
+    usage(std::cout);
+    return 0;
+  }
   std::size_t input_mb = arg_value(argc, argv, "--mb", 256);
   std::size_t block_kb = arg_value(argc, argv, "--block-kb", 1024);
   int k = static_cast<int>(arg_value(argc, argv, "--k", 4));

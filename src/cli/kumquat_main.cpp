@@ -379,15 +379,22 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   // poll(2)-driven, so an early exit (a satisfied `head`) wakes a read
   // blocked on an idle pipe promptly instead of at the next block
   // boundary; in batch mode the facade slurps the fd whole.
+  std::size_t bytes_written = 0;
   kq::ExecResult result = executor.run(
-      compiled->stages, kq::Source::from_fd(STDIN_FILENO), std::cout);
+      compiled->stages, kq::Source::from_fd(STDIN_FILENO),
+      [&bytes_written](std::string_view bytes) {
+        bytes_written += bytes.size();
+        std::cout.write(bytes.data(),
+                        static_cast<std::streamsize>(bytes.size()));
+        return static_cast<bool>(std::cout);
+      });
   std::cout.flush();
   bool trace_ok = write_trace();
   if (!result.ok) {
     std::cerr << "kumquat: " << (streaming ? "streaming " : "") << "run failed: "
               << result.error << (streaming ? " (rerun with --batch)" : "")
               << "\n";
-    return 1;
+    return 2;
   }
   std::cerr << "kumquat: " << result.seconds << " s at k=" << resolved_k;
   if (streaming) {
@@ -405,7 +412,12 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
     std::cerr << ", batch\n";
     if (stats) print_batch_stats(result);
   }
-  return trace_ok ? 0 : 1;
+  if (!trace_ok) return 2;
+  // A shell pipeline exits with its last command's status: grep that
+  // selected nothing makes the run exit 1.
+  if (bytes_written == 0 && !compiled->stages.empty())
+    return compiled->stages.back().command->empty_output_status();
+  return 0;
 }
 
 // Parses a one-byte record delimiter: a single character, or one of the
@@ -488,6 +500,11 @@ void usage() {
                "--trace-json\n"
                "  writes a Chrome trace-event file loadable in Perfetto\n"
                "  (see docs/OBSERVABILITY.md).\n"
+               "\n"
+               "  run exits like the shell pipeline it models: with the last\n"
+               "  command's status (1 when a final grep selects nothing), or\n"
+               "  2 when the run fails (a coded diagnostic on stderr, e.g.\n"
+               "  [KQ-REGEX] for a regex that ran out of its step budget).\n"
                "\n"
                "  check analyzes the compiled plan without executing it and\n"
                "  emits coded diagnostics (KQ-MEM, KQ-PROBE, KQ-ORDER,\n"

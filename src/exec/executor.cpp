@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <cerrno>
+#include <exception>
 #include <istream>
 #include <ostream>
 #include <sstream>
@@ -120,10 +121,19 @@ ExecResult Executor::run_whole(const std::vector<exec::ExecStage>& stages,
       break;
     }
   }
-  if (options_.mode == ExecMode::kSerial)
-    return from_run_result(exec::run_serial(stages, bytes));
-  exec::RunConfig config{options_.parallelism, options_.use_elimination};
-  return from_run_result(exec::run_pipeline(stages, bytes, pool(), config));
+  // A stage that cannot answer (cmd::CommandFailure, a coded diagnostic)
+  // fails the run, as it does in the streaming runtime.
+  try {
+    if (options_.mode == ExecMode::kSerial)
+      return from_run_result(exec::run_serial(stages, bytes));
+    exec::RunConfig config{options_.parallelism, options_.use_elimination};
+    return from_run_result(exec::run_pipeline(stages, bytes, pool(), config));
+  } catch (const std::exception& e) {
+    ExecResult failed;
+    failed.ok = false;
+    failed.error = e.what();
+    return failed;
+  }
 }
 
 ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,

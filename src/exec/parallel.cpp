@@ -61,6 +61,10 @@ std::vector<std::string> map_chunks_chain(
     futures.push_back(pool.submit(
         [&chain, chunk] { return run_slice_fused(chain, chunk, kBatchStep); }));
   }
+  // Every task reads `chain` and its chunk, which the caller owns, so none
+  // may outlive this call: wait for all of them before get() can rethrow a
+  // failed chunk's exception (the first one, in chunk order).
+  for (auto& f : futures) f.wait();
   std::vector<std::string> outputs;
   outputs.reserve(futures.size());
   for (auto& f : futures) outputs.push_back(f.get());

@@ -6,8 +6,10 @@
 #include <unistd.h>
 
 #include <cerrno>
+#include <csignal>
 #include <cstdlib>
 #include <cstring>
+#include <ctime>
 
 #include "text/shellwords.h"
 
@@ -61,6 +63,42 @@ std::optional<Pipe> make_pipe() {
   return p;
 }
 
+// While the parent feeds a child, SIGPIPE is blocked on the feeding
+// thread: a child that exits before reading all its input (`head -n 1`)
+// turns the next write into EPIPE, and by default also into a SIGPIPE that
+// kills this whole process. One the writes left pending is discarded on
+// the way out; one pending before is left alone. The child is forked
+// before the guard, so it keeps the default disposition.
+class SigpipeGuard {
+ public:
+  SigpipeGuard() {
+    sigemptyset(&pipe_);
+    sigaddset(&pipe_, SIGPIPE);
+    pthread_sigmask(SIG_BLOCK, &pipe_, &old_mask_);
+    was_pending_ = pending();
+  }
+  ~SigpipeGuard() {
+    if (!was_pending_ && pending()) {
+      const timespec no_wait{0, 0};
+      while (sigtimedwait(&pipe_, nullptr, &no_wait) < 0 && errno == EINTR) {
+      }
+    }
+    pthread_sigmask(SIG_SETMASK, &old_mask_, nullptr);
+  }
+  SigpipeGuard(const SigpipeGuard&) = delete;
+  SigpipeGuard& operator=(const SigpipeGuard&) = delete;
+
+ private:
+  static bool pending() {
+    sigset_t set;
+    sigpending(&set);
+    return sigismember(&set, SIGPIPE) == 1;
+  }
+
+  sigset_t pipe_, old_mask_;
+  bool was_pending_ = false;
+};
+
 void set_nonblocking(int fd) {
   int flags = ::fcntl(fd, F_GETFL, 0);
   if (flags >= 0) ::fcntl(fd, F_SETFL, flags | O_NONBLOCK);
@@ -103,6 +141,7 @@ std::optional<cmd::Result> run_process(const std::vector<std::string>& argv,
   }
 
   // Parent: close child ends, multiplex the three pipes.
+  SigpipeGuard sigpipe_guard;
   stdin_pipe->read_end.reset();
   stdout_pipe->write_end.reset();
   stderr_pipe->write_end.reset();

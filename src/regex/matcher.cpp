@@ -1,114 +1,84 @@
-#include <functional>
+// Engine selection and the sed substitution loop. The choice is a property
+// of the pattern alone: a backreference-free pattern compiles to a program
+// and runs on the lazy DFA (search) or the Pike VM (find/replace); a
+// pattern with a backreference keeps the AST and runs on the budgeted
+// backtracker, behind a DFA over the pattern with its backreferences
+// relaxed (detail::relax_backrefs). Every entry point first checks the
+// required literal, which rejects most non-matching lines with one memmem;
+// next_matching_line runs that check over a whole block and confirms only
+// the lines it hits.
 
-#include "regex/node.h"
-#include "regex/regex.h"
+#include <cstring>
+
+#include "regex/program.h"
 
 namespace kq::regex {
-namespace detail {
-namespace {
 
-using Caps = std::array<std::pair<std::size_t, std::size_t>, 10>;
-using Cont = std::function<bool(std::size_t)>;
-
-struct MatchContext {
-  std::string_view text;
-  Caps caps;
-};
-
-bool match_node(const Node& n, MatchContext& ctx, std::size_t pos,
-                const Cont& k);
-
-bool match_seq(const std::vector<NodePtr>& children, std::size_t idx,
-               MatchContext& ctx, std::size_t pos, const Cont& k) {
-  if (idx == children.size()) return k(pos);
-  return match_node(*children[idx], ctx, pos, [&](std::size_t p2) {
-    return match_seq(children, idx + 1, ctx, p2, k);
-  });
+bool Regex::contains_literal(std::string_view text) const {
+  if (literal_.empty()) return true;
+  return ::memmem(text.data(), text.size(), literal_.data(),
+                  literal_.size()) != nullptr;
 }
 
-bool match_node(const Node& n, MatchContext& ctx, std::size_t pos,
-                const Cont& k) {
-  switch (n.kind) {
-    case Kind::kLiteral:
-      return pos < ctx.text.size() && ctx.text[pos] == n.ch && k(pos + 1);
-    case Kind::kAny:
-      return pos < ctx.text.size() && ctx.text[pos] != '\n' && k(pos + 1);
-    case Kind::kClass:
-      return pos < ctx.text.size() &&
-             n.cls[static_cast<unsigned char>(ctx.text[pos])] && k(pos + 1);
-    case Kind::kBolAnchor:
-      return pos == 0 && k(pos);
-    case Kind::kEolAnchor:
-      return pos == ctx.text.size() && k(pos);
-    case Kind::kSeq:
-      return match_seq(n.children, 0, ctx, pos, k);
-    case Kind::kAlt:
-      for (const auto& branch : n.children)
-        if (match_node(*branch, ctx, pos, k)) return true;
-      return false;
-    case Kind::kGroup:
-      return match_node(*n.children[0], ctx, pos, [&](std::size_t p2) {
-        auto idx = static_cast<std::size_t>(n.index);
-        auto saved = ctx.caps[idx];
-        ctx.caps[idx] = {pos, p2};
-        if (k(p2)) return true;
-        ctx.caps[idx] = saved;
-        return false;
-      });
-    case Kind::kBackref: {
-      auto [b, e] = ctx.caps[static_cast<std::size_t>(n.index)];
-      if (b == Match::kNpos) return false;  // unparticipating group
-      std::string_view captured = ctx.text.substr(b, e - b);
-      if (ctx.text.substr(pos, captured.size()) != captured) return false;
-      return k(pos + captured.size());
-    }
-    case Kind::kStar: {
-      // Greedy: try one more repetition first, fall back to continuing.
-      const Node& child = *n.children[0];
-      std::function<bool(int, std::size_t)> rep = [&](int count,
-                                                      std::size_t p) {
-        if (n.max_repeat < 0 || count < n.max_repeat) {
-          bool extended = match_node(child, ctx, p, [&](std::size_t p2) {
-            if (p2 == p) return false;  // refuse empty-width repetitions
-            return rep(count + 1, p2);
-          });
-          if (extended) return true;
-        }
-        return count >= n.min_repeat && k(p);
-      };
-      return rep(0, pos);
-    }
-  }
-  return false;
+bool Regex::confirm(std::string_view line) const {
+  if (literal_exact_) return true;
+  if (program_) return detail::dfa_search(*program_, line);
+  if (relaxed_ && !detail::dfa_search(*relaxed_, line)) return false;
+  return backtrack_find(line).has_value();
 }
 
-}  // namespace
-}  // namespace detail
+bool Regex::search(std::string_view line) const {
+  return contains_literal(line) && confirm(line);
+}
 
-std::optional<Match> Regex::find(std::string_view line,
-                                 std::size_t from) const {
-  detail::MatchContext ctx{line, {}};
-  for (std::size_t start = from; start <= line.size(); ++start) {
-    ctx.caps.fill({Match::kNpos, Match::kNpos});
-    std::size_t match_end = 0;
-    bool ok = detail::match_node(*root_, ctx, start, [&](std::size_t p) {
-      match_end = p;
-      return true;
-    });
-    if (ok) {
-      Match m;
-      m.begin = start;
-      m.end = match_end;
-      m.groups = ctx.caps;
-      m.group_count = group_count_;
-      return m;
+std::optional<Regex::LineSpan> Regex::next_matching_line(
+    std::string_view block, std::size_t from) const {
+  const char* const data = block.data();
+  const std::size_t n = block.size();
+  auto line_end = [&](std::size_t pos) {
+    const void* nl = std::memchr(data + pos, '\n', n - pos);
+    return nl ? static_cast<std::size_t>(static_cast<const char*>(nl) - data)
+              : n;
+  };
+  std::size_t pos = from;
+  while (pos < n) {
+    std::size_t begin = pos, end;
+    if (literal_.empty()) {
+      end = line_end(pos);
+    } else {
+      // Widen the literal's next occurrence to its line: that line holds
+      // the literal, so only the engine is left to ask.
+      const void* hit =
+          ::memmem(data + pos, n - pos, literal_.data(), literal_.size());
+      if (!hit) return std::nullopt;
+      const auto h =
+          static_cast<std::size_t>(static_cast<const char*>(hit) - data);
+      if (const void* nl = ::memrchr(data + pos, '\n', h - pos))
+        begin =
+            static_cast<std::size_t>(static_cast<const char*>(nl) - data) + 1;
+      end = line_end(h);
     }
+    if (confirm(block.substr(begin, end - begin))) return LineSpan{begin, end};
+    pos = end + 1;
   }
   return std::nullopt;
 }
 
-bool Regex::search(std::string_view line) const {
-  return find(line).has_value();
+std::optional<Match> Regex::find(std::string_view line,
+                                 std::size_t from) const {
+  if (from > line.size() || !contains_literal(line.substr(from)))
+    return std::nullopt;
+  if (program_) return detail::pike_find(*program_, line, from, group_count_);
+  // A match at or after `from` is a match in the line: one DFA pass rules
+  // out the line (sed's `g` loop pays it only on its first find).
+  if (from == 0 && relaxed_ && !detail::dfa_search(*relaxed_, line))
+    return std::nullopt;
+  return backtrack_find(line, from);
+}
+
+std::optional<Match> Regex::backtrack_find(std::string_view line,
+                                           std::size_t from) const {
+  return detail::backtrack_find(*root_, line, from, group_count_, pattern_);
 }
 
 namespace {
@@ -140,8 +110,8 @@ void expand_replacement(std::string& out, std::string_view replacement,
 
 }  // namespace
 
-std::string Regex::replace(std::string_view line, std::string_view replacement,
-                           bool global, bool* replaced) const {
+std::string substitute(std::string_view line, std::string_view replacement,
+                       bool global, bool* replaced, const FindFn& find) {
   std::string out;
   std::size_t pos = 0;
   bool any = false;
@@ -163,6 +133,18 @@ std::string Regex::replace(std::string_view line, std::string_view replacement,
   if (pos <= line.size()) out.append(line.substr(pos));
   if (replaced) *replaced = any;
   return out;
+}
+
+std::string Regex::replace(std::string_view line, std::string_view replacement,
+                           bool global, bool* replaced) const {
+  if (!contains_literal(line)) {
+    if (replaced) *replaced = false;
+    return std::string(line);
+  }
+  return substitute(line, replacement, global, replaced,
+                    [this](std::string_view l, std::size_t from) {
+                      return find(l, from);
+                    });
 }
 
 }  // namespace kq::regex

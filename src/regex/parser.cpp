@@ -1,8 +1,7 @@
 #include <cctype>
 #include <string>
 
-#include "regex/node.h"
-#include "regex/regex.h"
+#include "regex/program.h"
 
 namespace kq::regex {
 namespace detail {
@@ -269,8 +268,20 @@ std::optional<Regex> Regex::compile(std::string_view pattern,
   }
   Regex re;
   re.pattern_ = std::string(pattern);
-  re.root_ = std::move(root);
   re.group_count_ = parser.group_count();
+  if (!detail::has_backref(*root)) {
+    re.program_ = detail::compile_program(*root, re.group_count_, error);
+    if (!re.program_) return std::nullopt;
+  } else {
+    // Best effort: without it (too many nullable loops after the copies)
+    // every line goes to the backtracker.
+    re.relaxed_ = detail::compile_program(*detail::relax_backrefs(root),
+                                          re.group_count_, nullptr);
+  }
+  detail::LiteralFacts facts = detail::literal_facts(*root);
+  re.literal_ = std::move(facts.required);
+  re.literal_exact_ = facts.exact;
+  re.root_ = std::move(root);
   return re;
 }
 

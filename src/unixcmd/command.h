@@ -12,6 +12,7 @@
 #include <functional>
 #include <memory>
 #include <optional>
+#include <stdexcept>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -28,6 +29,23 @@ struct Result {
   std::string err;
 
   bool ok() const { return status == 0; }
+
+  // A built-in that could not compute its answer — a regex that ran out
+  // of its step budget — exits 2 with a coded "[KQ-...]" diagnostic in
+  // `err`; `out` is then partial, not the command's output.
+  static Result failure(std::string out, std::string coded_err) {
+    return Result{std::move(out), 2, std::move(coded_err)};
+  }
+  bool failed() const { return status == 2 && err.starts_with("[KQ-"); }
+};
+
+// Raised by Command::run() and PerBlockProcessor for a failed() result,
+// so no runtime passes a partial answer on: the streaming runtime and the
+// executor catch it (like any exception a stage throws) and fail the run
+// with the coded message.
+class CommandFailure : public std::runtime_error {
+ public:
+  using std::runtime_error::runtime_error;
 };
 
 // How a command's output relates to record-aligned prefixes of its input.
@@ -184,8 +202,14 @@ class Command {
   // Runs the command on `input`, producing output and an exit status.
   virtual Result execute(std::string_view input) const = 0;
 
-  // Convenience wrapper for the common success path.
-  std::string run(std::string_view input) const { return execute(input).out; }
+  // Convenience wrapper for the common success path. Throws
+  // CommandFailure when the command failed() instead of returning its
+  // partial output.
+  std::string run(std::string_view input) const {
+    Result r = execute(input);
+    if (r.failed()) throw CommandFailure(r.err);
+    return std::move(r.out);
+  }
 
   // This command's streamability class; kNone unless a built-in declares
   // otherwise. Must agree with the processor factories: stream_processor()
@@ -201,6 +225,12 @@ class Command {
   // indistinguishable from `cat`, and a combiner certified purely on
   // those observations is wrong exactly on the inputs too big to probe.
   virtual std::optional<long> scale_bound() const { return std::nullopt; }
+
+  // The exit status this command reports when its whole output is empty.
+  // A pipeline's status is its last command's, but the runtimes only see
+  // output, so `kumquat run` derives it from the final stage's output: 0,
+  // or this when nothing was written (grep selected no line: 1).
+  virtual int empty_output_status() const { return 0; }
 
   // A fresh per-stream processor for a streamable command (the instance
   // must outlive the processor). Null for kNone and kWindow commands.
@@ -231,6 +261,7 @@ class PerBlockProcessor final : public StreamProcessor {
   explicit PerBlockProcessor(const Command& command) : command_(command) {}
   bool process(std::string_view block, std::string* out) override {
     Result r = command_.execute(block);
+    if (r.failed()) throw CommandFailure(r.err);
     if (out->empty())
       *out = std::move(r.out);
     else

@@ -1,16 +1,36 @@
 // Built-in `grep` over the BRE engine. Flags: -v (invert), -c (count),
 // -i (case-insensitive), combined forms (-vc, -vi, -vci). Exit status
-// follows grep: 0 if any line selected, 1 otherwise.
+// follows grep: 0 if any line selected, 1 otherwise, 2 when the pattern's
+// backtracking budget ran out ([KQ-REGEX]).
+//
+// Matching is block-level: Regex::next_matching_line finds the matching
+// lines of the whole record-aligned block (a memmem for the pattern's
+// required literal, then a confirm of each line it hits). Selected lines —
+// or with -v the unselected ones — leave in contiguous runs, one append
+// per run. -i folds the block once into a reused buffer.
 
+#include <algorithm>
+#include <array>
 #include <cctype>
 
 #include "regex/regex.h"
-#include "text/streams.h"
 #include "text/strings.h"
 #include "unixcmd/builtins.h"
 
 namespace kq::cmd {
 namespace {
+
+// std::tolower per byte, tabulated once: the fold of -i, identical to
+// text::to_lower (the program never switches locale).
+const std::array<char, 256>& lower_table() {
+  static const std::array<char, 256> table = [] {
+    std::array<char, 256> t{};
+    for (int c = 0; c < 256; ++c) t[static_cast<std::size_t>(c)] =
+        static_cast<char>(std::tolower(c));
+    return t;
+  }();
+  return table;
+}
 
 class GrepCommand final : public Command {
  public:
@@ -20,29 +40,69 @@ class GrepCommand final : public Command {
         count_(count), fold_(fold) {}
 
   Result execute(std::string_view input) const override {
-    std::string lowered;
-    std::uint64_t selected = 0;
-    std::string out;
-    for (std::string_view line : text::lines(input)) {
-      bool hit;
-      if (fold_) {
-        lowered = text::to_lower(line);
-        hit = re_.search(lowered);
-      } else {
-        hit = re_.search(line);
-      }
-      if (hit == invert_) continue;
-      ++selected;
-      if (!count_) {
-        out += line;
-        out.push_back('\n');
-      }
+    std::string out, folded;
+    std::size_t hits = 0;
+    try {
+      hits = scan(input, count_ ? nullptr : &out, folded);
+    } catch (const regex::BudgetExceeded& e) {
+      return Result::failure(std::move(out), e.what());
     }
+    const std::size_t selected = invert_ ? count_lines(input) - hits : hits;
     if (count_) {
       out = std::to_string(selected);
       out.push_back('\n');
     }
     return {std::move(out), selected > 0 ? 0 : 1, {}};
+  }
+
+  // Appends the selected lines of one record-aligned block to *out (null
+  // for -c) and returns how many lines the pattern matched. GNU grep
+  // re-terminates a selected unterminated final line. Throws
+  // regex::BudgetExceeded from a backreference pattern's backtracker.
+  std::size_t scan(std::string_view block, std::string* out,
+                   std::string& folded) const {
+    std::string_view text = block;
+    if (fold_) {
+      const std::array<char, 256>& lower = lower_table();
+      folded.resize(block.size());
+      for (std::size_t i = 0; i < block.size(); ++i)
+        folded[i] = lower[static_cast<unsigned char>(block[i])];
+      text = folded;
+    }
+    const std::size_t n = text.size();
+    auto emit = [&](std::size_t begin, std::size_t end) {
+      if (begin >= end) return;
+      out->append(block.substr(begin, end - begin));
+      if (end == n && block[n - 1] != '\n') out->push_back('\n');
+    };
+    std::size_t hits = 0;
+    // Non-inverted: the pending run of selected lines. Inverted: where the
+    // pending run of unselected lines starts.
+    std::size_t run_begin = 0, run_end = 0;
+    std::size_t pos = 0;
+    while (auto line = re_.next_matching_line(text, pos)) {
+      ++hits;
+      pos = line->end + 1;
+      if (!out) continue;
+      const std::size_t next = std::min(pos, n);
+      if (invert_) {
+        emit(run_begin, line->begin);
+        run_begin = next;
+      } else if (line->begin == run_end) {
+        run_end = next;
+      } else {
+        emit(run_begin, run_end);
+        run_begin = line->begin;
+        run_end = next;
+      }
+    }
+    if (out) {
+      if (invert_)
+        emit(run_begin, n);
+      else
+        emit(run_begin, run_end);
+    }
+    return hits;
   }
 
   // Plain grep is a pure per-line filter (GNU grep re-terminates a matched
@@ -51,15 +111,43 @@ class GrepCommand final : public Command {
   Streamability streamability() const override {
     return count_ ? Streamability::kNone : Streamability::kPerRecord;
   }
-  std::unique_ptr<StreamProcessor> stream_processor() const override {
-    if (count_) return nullptr;
-    return std::make_unique<PerBlockProcessor>(*this);
-  }
+  std::unique_ptr<StreamProcessor> stream_processor() const override;
+
+  // grep exits 1 when it selects nothing, which without -c is exactly when
+  // its output is empty.
+  int empty_output_status() const override { return count_ ? 0 : 1; }
 
  private:
+  static std::size_t count_lines(std::string_view s) {
+    std::size_t lines = static_cast<std::size_t>(
+        std::count(s.begin(), s.end(), '\n'));
+    return lines + (!s.empty() && s.back() != '\n' ? 1 : 0);
+  }
+
   regex::Regex re_;
   bool invert_, count_, fold_;
 };
+
+// Scans each block straight into the node's output buffer; the fold
+// buffer lives as long as the stream. A regex::BudgetExceeded propagates
+// and fails the run with its coded message.
+class GrepProcessor final : public StreamProcessor {
+ public:
+  explicit GrepProcessor(const GrepCommand& command) : command_(command) {}
+  bool process(std::string_view block, std::string* out) override {
+    command_.scan(block, out, folded_);
+    return true;
+  }
+
+ private:
+  const GrepCommand& command_;
+  std::string folded_;
+};
+
+std::unique_ptr<StreamProcessor> GrepCommand::stream_processor() const {
+  if (count_) return nullptr;
+  return std::make_unique<GrepProcessor>(*this);
+}
 
 }  // namespace
 

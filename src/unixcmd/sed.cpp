@@ -183,7 +183,11 @@ class SedCommand final : public Command {
     std::string out;
     out.reserve(input.size());
     long line_no = 0;
-    run_script(cmds_, input, &line_no, /*whole_input=*/true, &out);
+    try {
+      run_script(cmds_, input, &line_no, /*whole_input=*/true, &out);
+    } catch (const regex::BudgetExceeded& e) {
+      return Result::failure(std::move(out), e.what());
+    }
     return {std::move(out), 0, {}};
   }
 
@@ -221,6 +225,7 @@ class SedStreamProcessor final : public StreamProcessor {
 
   bool process(std::string_view block, std::string* out) override {
     if (quit_) return false;
+    // A regex::BudgetExceeded propagates and fails the run.
     quit_ = run_script(command_.cmds_, block, &line_no_,
                        /*whole_input=*/false, out);
     return !quit_;

@@ -208,5 +208,47 @@ TEST(Executor, MatchesLegacyEntrypointsStageForStage) {
             streamed);
 }
 
+TEST(Executor, CommandFailureFailsTheRunInEveryMode) {
+  // A backreference pattern that runs out of its step budget: every mode
+  // must fail the run with the coded diagnostic instead of passing on the
+  // lines matched so far.
+  auto stages = compile_stages("grep '\\(a*\\)*\\1b' | tr a-z A-Z");
+  const std::string input =
+      "ab line\n" + std::string(28, 'a') + "xb\nmore ab\n";
+  for (ExecMode mode :
+       {ExecMode::kSerial, ExecMode::kBatch, ExecMode::kStream}) {
+    ExecOptions options;
+    options.mode = mode;
+    options.parallelism = 2;
+    Executor executor(options);
+    ExecResult r = executor.run_collect(stages, input);
+    EXPECT_FALSE(r.ok) << exec_mode_name(mode);
+    EXPECT_NE(r.error.find("[KQ-REGEX]"), std::string::npos)
+        << exec_mode_name(mode) << ": " << r.error;
+  }
+}
+
+TEST(Executor, BatchFailureWaitsForEveryChunk) {
+  // The failing line opens the first chunk, and every other chunk is a
+  // long run of lines that each need the backtracker (they hold the 'b'):
+  // the run must fail only after those chunks' tasks, which read the input
+  // and the stage chain, have finished (a sanitizer build catches a task
+  // that outlives them).
+  auto stages = compile_stages("grep '\\(a*\\)*\\1b' | tr a-z A-Z");
+  std::string input = std::string(28, 'a') + "xb\n";
+  while (input.size() < (8u << 20)) input += "tail line b\n";
+  for (int parallelism : {4, 16}) {
+    ExecOptions options;
+    options.mode = ExecMode::kBatch;
+    options.parallelism = parallelism;
+    Executor executor(options);
+    for (int round = 0; round < 3; ++round) {
+      ExecResult r = executor.run_collect(stages, input);
+      EXPECT_FALSE(r.ok);
+      EXPECT_NE(r.error.find("[KQ-REGEX]"), std::string::npos) << r.error;
+    }
+  }
+}
+
 }  // namespace
 }  // namespace kq
