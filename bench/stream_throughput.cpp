@@ -4,15 +4,7 @@
 //   ./build/bench/stream_throughput [--mb=N] [--block-kb=N] [--k=N]
 //                                   [--spill-mb=N] [--no-speed-check]
 //                                   [--no-memory-check] [--json=PATH]
-//                                   [--io-backend=auto|uring|poll]
 //   ./build/bench/stream_throughput --help   (prints usage, exits 0)
-//
-// --io-backend forces the kq::io engine for every streaming scenario
-// (default auto: kernel probe). Independent of that, the saturating-read
-// scenario always measures poll and io_uring explicitly side by side; its
-// io_uring leg records a skipped marker in the --json artifact when the
-// kernel probe fails, so the baseline diff reports the gap instead of
-// flagging a missing scenario.
 //
 // --no-memory-check skips the RSS verdicts (the input-relative bound and
 // the absolute 16 MiB window gate) for sanitizer builds, where shadow
@@ -61,7 +53,6 @@
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "exec/executor.h"
-#include "io/engine.h"
 #include "obs/trace.h"
 
 namespace {
@@ -247,10 +238,9 @@ Measurement run_streaming_file(const Compiled& compiled,
 }
 
 // The fd-source twin: drives the run from a real file descriptor so the
-// SOURCE read path routes through the configured kq::io engine — the
-// istream adapter used by run_streaming_file only exercises the engine on
-// spill I/O. This is the harness for the per-backend saturating-read
-// scenario.
+// SOURCE read path routes through the kq::io engine — the istream adapter
+// used by run_streaming_file only exercises the engine on spill I/O. This
+// is the harness for the saturating-read scenario.
 Measurement run_streaming_fd_file(const Compiled& compiled,
                                   const std::string& path, int k,
                                   kq::ExecOptions options) {
@@ -343,11 +333,6 @@ struct GateRecord {
       : name(std::move(name_)), m(m_) {}
   std::string name;
   Measurement m;
-  // Set when the scenario could not run in this environment (e.g. the
-  // io_uring kernel probe failed): the artifact carries the reason instead
-  // of numbers, and check_bench_gate.py reports it rather than treating
-  // the scenario as missing.
-  std::string skipped;
 };
 
 void write_json(const std::string& path, std::size_t input_mb,
@@ -356,12 +341,6 @@ void write_json(const std::string& path, std::size_t input_mb,
   out << "{\n  \"input_mb\": " << input_mb << ",\n  \"scenarios\": [\n";
   for (std::size_t i = 0; i < records.size(); ++i) {
     const GateRecord& r = records[i];
-    if (!r.skipped.empty()) {
-      out << "    {\"name\": \"" << r.name << "\", \"skipped\": \""
-          << r.skipped << "\"}" << (i + 1 < records.size() ? "," : "")
-          << "\n";
-      continue;
-    }
     out << "    {\"name\": \"" << r.name << "\", \"wall_s\": " << r.m.seconds
         << ", \"rss_growth_bytes\": " << r.m.rss_growth
         << ", \"bytes_read\": " << r.m.bytes_read
@@ -382,7 +361,6 @@ void usage(std::ostream& out) {
          "[--spill-mb=N]\n"
          "                         [--no-speed-check] [--no-memory-check] "
          "[--json=PATH]\n"
-         "                         [--io-backend=auto|uring|poll]\n"
          "\n"
          "Streaming vs batch throughput and peak RSS on a generated input\n"
          "(default 256 MiB, 1 MiB blocks, k=4, spill threshold\n"
@@ -405,16 +383,6 @@ int main(int argc, char** argv) {
   const bool speed_check = !has_flag(argc, argv, "--no-speed-check");
   const bool memory_check = !has_flag(argc, argv, "--no-memory-check");
   const std::string json_path = arg_string(argc, argv, "--json");
-  io::Backend io_backend = io::Backend::kAuto;
-  {
-    std::string value = arg_string(argc, argv, "--io-backend");
-    if (!value.empty() && !io::parse_backend(value, &io_backend)) {
-      std::cerr << "stream_throughput: --io-backend must be auto, uring, or "
-                   "poll (got '"
-                << value << "')\n";
-      return 2;
-    }
-  }
   std::vector<GateRecord> gate_records;
   std::size_t input_bytes = input_mb << 20;
 
@@ -422,7 +390,6 @@ int main(int argc, char** argv) {
   config.parallelism = k;
   config.block_size = block_kb << 10;
   config.spill_threshold = spill_mb << 20;
-  config.io_backend = io_backend;
   std::size_t budget =
       (2 * static_cast<std::size_t>(k) + 2) * config.block_size;
 
@@ -732,69 +699,21 @@ int main(int argc, char** argv) {
   }
 
   // Saturating read: the folding pipeline driven from a real file
-  // descriptor, once per I/O backend. The fold's output is tiny and its
-  // per-record work is cheap, so the run is read-dominated — exactly where
-  // a submission-batched backend has to show up. The gate (full size only)
-  // requires the io_uring leg to match or beat poll on wall clock at
-  // equal-or-lower RSS growth modulo the fixed ring overhead; at smoke
-  // sizes both legs are still recorded for CI's baseline diff.
-  bool io_backend_ok = true;
+  // descriptor. The fold's output is tiny and its per-record work is
+  // cheap, so the run is read-dominated; CI's baseline diff tracks it.
   {
-    const Compiled& compiled = compiled_pipelines[1];
     std::cout << "\nsaturating read (fd source): " << kPipelines[1].cmd
               << "\n";
-    kq::ExecOptions io_config = config;
-    io_config.io_backend = io::Backend::kPoll;
-    Measurement pollm = run_isolated(
-        [&] { return run_streaming_fd_file(compiled, path, k, io_config); });
-    std::cout << "  poll:  " << pollm.seconds << " s ("
-              << mib_per_s(input_bytes, pollm.seconds) << " MiB/s), RSS growth "
-              << (pollm.rss_growth >> 20) << " MiB\n";
-    if (!pollm.ok) all_ok = false;
+    Measurement fd_run = run_isolated([&] {
+      return run_streaming_fd_file(compiled_pipelines[1], path, k, config);
+    });
+    std::cout << "  " << fd_run.seconds << " s ("
+              << mib_per_s(input_bytes, fd_run.seconds)
+              << " MiB/s), RSS growth " << (fd_run.rss_growth >> 20)
+              << " MiB\n";
+    if (!fd_run.ok) all_ok = false;
     gate_records.push_back(
-        {std::string("io-poll:") + kPipelines[1].cmd, pollm});
-    if (io::uring_supported()) {
-      io_config.io_backend = io::Backend::kUring;
-      Measurement uring = run_isolated([&] {
-        return run_streaming_fd_file(compiled, path, k, io_config);
-      });
-      std::cout << "  uring: " << uring.seconds << " s ("
-                << mib_per_s(input_bytes, uring.seconds)
-                << " MiB/s), RSS growth " << (uring.rss_growth >> 20)
-                << " MiB\n";
-      if (!uring.ok) all_ok = false;
-      if (pollm.out_bytes != uring.out_bytes) {
-        std::cout << "  ERROR: backends disagree on output size (poll "
-                  << pollm.out_bytes << " vs uring " << uring.out_bytes
-                  << ")\n";
-        all_ok = false;
-      }
-      gate_records.push_back(
-          {std::string("io-uring:") + kPipelines[1].cmd, uring});
-      const bool enforce_io =
-          speed_check && input_mb >= 64 && !fork_fallback_used;
-      if (enforce_io && uring.seconds > pollm.seconds * 1.05 + 0.05) {
-        std::cout << "  ERROR: io_uring is slower than poll on a "
-                     "read-dominated pipeline\n";
-        io_backend_ok = false;
-      }
-      // Equal-or-lower memory, with a fixed floor: the ring and its
-      // registered staging slots cost a bounded amount that smoke sizes
-      // would read as ratio noise.
-      if (enforce_io && memory_check &&
-          uring.rss_growth > pollm.rss_growth + (std::size_t(4) << 20)) {
-        std::cout << "  ERROR: io_uring RSS growth exceeds poll by more "
-                     "than the fixed ring overhead\n";
-        io_backend_ok = false;
-      }
-    } else {
-      std::cout << "  uring: skipped (io_uring unavailable on this "
-                   "kernel)\n";
-      GateRecord rec;
-      rec.name = std::string("io-uring:") + kPipelines[1].cmd;
-      rec.skipped = "io_uring unavailable on this kernel";
-      gate_records.push_back(std::move(rec));
-    }
+        {std::string("io-poll:") + kPipelines[1].cmd, fd_run});
   }
 
   if (!json_path.empty()) {
@@ -828,17 +747,12 @@ int main(int argc, char** argv) {
             << "; sharded scaling "
             << (shard_scaling_ok ? "ok (or not enforced at this size)"
                                  : "FAILED")
-            << "; io backend "
-            << (!io::uring_supported()
-                    ? "comparison skipped (io_uring unavailable)"
-                    : (io_backend_ok ? "ok (or not enforced at this size)"
-                                     : "io_uring REGRESSED vs poll"))
             << "\n";
   std::remove(path.c_str());
   if (fork_fallback_used) bounded = window_bounded = true;  // unreliable
   if (!all_ok) std::cout << "verdict: FAILED (run or output error above)\n";
   return (all_ok && all_faster && bounded && window_bounded &&
-          telemetry_cheap && shard_scaling_ok && io_backend_ok)
+          telemetry_cheap && shard_scaling_ok)
              ? 0
              : 1;
 }

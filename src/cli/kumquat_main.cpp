@@ -273,11 +273,6 @@ void print_stream_stats(const kq::ExecResult& result) {
       std::cerr << "      shard slice=" << n.shard_slice_bytes
                 << " bytes slices=" << n.shard_slices
                 << " worker-busy=" << format_ms(n.worker_busy_ns) << "\n";
-    // io_uring submission activity (source reads + spill writes routed
-    // through this node's engines); always zero on the poll backend.
-    if (n.sqe_batches != 0 || n.cqe_waits != 0)
-      std::cerr << "      io sqe-batches=" << n.sqe_batches
-                << " cqe-waits=" << n.cqe_waits << "\n";
   }
 }
 
@@ -300,8 +295,7 @@ void print_batch_stats(const kq::ExecResult& result) {
 int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
             std::size_t block_size, std::size_t spill_threshold,
             char delimiter, bool rewrite, bool stats,
-            const std::string& trace_path, bool check_only,
-            io::Backend io_backend) {
+            const std::string& trace_path, bool check_only) {
   // --check: static analysis of the exact plan this run would execute,
   // then exit with the analyzer's verdict instead of reading stdin.
   if (check_only) {
@@ -342,7 +336,6 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   options.block_size = block_size;
   options.spill_threshold = spill_threshold;
   options.delimiter = delimiter;
-  options.io_backend = io_backend;
   options.stats = stats;
   options.tracer = tracer.get();
   kq::Executor executor(options);
@@ -398,10 +391,7 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   }
   std::cerr << "kumquat: " << result.seconds << " s at k=" << resolved_k;
   if (streaming) {
-    std::cerr << ", streaming";
-    if (!result.io_backend.empty())
-      std::cerr << " (io=" << result.io_backend << ")";
-    std::cerr << ", read " << result.bytes_read
+    std::cerr << ", streaming, read " << result.bytes_read
               << " input bytes, peak " << result.peak_inflight_bytes
               << " bytes in flight";
     if (result.spilled_bytes != 0)
@@ -471,8 +461,7 @@ void usage() {
                "[--stream|--batch]\n"
                "              [--block-size N[K|M|G]] "
                "[--spill-threshold N[K|M|G]|0]\n"
-               "              [--delimiter C] [--io-backend auto|uring|poll]\n"
-               "              [--stats] [--trace-json FILE]\n"
+               "              [--delimiter C] [--stats] [--trace-json FILE]\n"
                "              [--check] '<pipeline>'  (stdin -> stdout)\n"
                "\n"
                "  run executes through kq::Executor: the streaming dataflow\n"
@@ -484,11 +473,7 @@ void usage() {
                "  \\t \\n \\0 escapes). --batch selects the in-memory staged\n"
                "  runner, which ignores the streaming-only flags. --jobs\n"
                "  (alias -k) defaults to the hardware thread count (max 16)\n"
-               "  and applies identically in both modes. --io-backend picks\n"
-               "  the stream-mode I/O engine for the stdin source and spill\n"
-               "  files (default auto: io_uring where the kernel supports\n"
-               "  it, else poll; KQ_IO_BACKEND overrides auto — see\n"
-               "  docs/IO.md).\n"
+               "  and applies identically in both modes.\n"
                "\n"
                "  compile and run fuse bounded top-N patterns by default\n"
                "  ('sort | head -n N', 'uniq -c | sort -rn | head -n K')\n"
@@ -608,7 +593,6 @@ int main(int argc, char** argv) {
     std::size_t block_size = 1 << 20;
     std::size_t spill_threshold = 64 << 20;
     char delimiter = '\n';
-    io::Backend io_backend = io::Backend::kAuto;
     bool stats = false;
     bool check_only = false;
     std::string trace_path;
@@ -653,12 +637,6 @@ int main(int argc, char** argv) {
           std::cerr << "kumquat: " << error << "\n";
           return 2;
         }
-      } else if (std::strcmp(argv[i], "--io-backend") == 0 && i + 1 < argc) {
-        if (!io::parse_backend(argv[++i], &io_backend)) {
-          std::cerr << "kumquat: --io-backend must be auto, uring, or poll "
-                       "(got '" << argv[i] << "')\n";
-          return 2;
-        }
       } else if (std::strcmp(argv[i], "--stats") == 0) {
         stats = true;
       } else if (std::strcmp(argv[i], "--trace-json") == 0 && i + 1 < argc) {
@@ -686,7 +664,7 @@ int main(int argc, char** argv) {
     }
     return cmd_run(pipeline, k, optimize, streaming, block_size,
                    spill_threshold, delimiter, rewrite, stats, trace_path,
-                   check_only, io_backend);
+                   check_only);
   }
   usage();
   return 2;

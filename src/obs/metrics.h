@@ -18,10 +18,6 @@
 //   worker busy        — wall time the segment's shard workers spent
 //                        executing slices (summed across workers; compare
 //                        against the node's span for parallel efficiency)
-//   sqe batches        — io_uring submission batches the node's I/O engine
-//                        entered (0 on the poll backend)
-//   cqe waits          — blocking completion waits the engine entered
-//                        (0 on the poll backend)
 //   early_exit         — why the node stopped consuming input early
 //
 // Disabled cost: when stats collection is off no StageCounters exists and
@@ -57,8 +53,6 @@ struct StageCounters {
   std::atomic<std::uint64_t> spill_bytes{0};
   std::atomic<std::uint64_t> shard_slices{0};
   std::atomic<std::uint64_t> worker_busy_ns{0};
-  std::atomic<std::uint64_t> sqe_batches{0};
-  std::atomic<std::uint64_t> cqe_waits{0};
   std::atomic<int> early_exit{static_cast<int>(EarlyExit::kNone)};
 
   void note_early_exit(EarlyExit cause) {

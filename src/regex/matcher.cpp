@@ -114,13 +114,23 @@ std::string substitute(std::string_view line, std::string_view replacement,
                        bool global, bool* replaced, const FindFn& find) {
   std::string out;
   std::size_t pos = 0;
+  std::size_t last_end = std::string_view::npos;  // previous match's end
   bool any = false;
   while (pos <= line.size()) {
     auto m = find(line, pos);
     if (!m) break;
+    if (m->end == m->begin && m->begin == last_end) {
+      // GNU sed refuses an empty match right where the previous match
+      // ended (`s/t*/-/g` on "atttb" is "-a-b-"): copy one byte, retry.
+      if (m->begin == line.size()) break;
+      out.append(line.substr(pos, m->begin + 1 - pos));
+      pos = m->begin + 1;
+      continue;
+    }
     out.append(line.substr(pos, m->begin - pos));
     expand_replacement(out, replacement, line, *m);
     any = true;
+    last_end = m->end;
     if (m->end == m->begin) {
       // Empty-width match: emit the next character to guarantee progress.
       if (m->end < line.size()) out.push_back(line[m->end]);

@@ -180,7 +180,8 @@ class Regex {
 // The sed substitution loop over any leftmost-match function (Regex::find,
 // or Regex::backtrack_find in the differential tests): replaces the first
 // or, with `global`, every non-overlapping match; an empty match copies the
-// next byte to make progress.
+// next byte to make progress, and one right where the previous match ended
+// is skipped, as GNU sed does.
 using FindFn =
     std::function<std::optional<Match>(std::string_view, std::size_t)>;
 std::string substitute(std::string_view line, std::string_view replacement,

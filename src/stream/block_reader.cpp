@@ -46,20 +46,18 @@ BlockReader::ReadFn stream_source(std::istream& in, std::shared_ptr<int> error,
   };
 }
 
-// The fd source delegates the poll-vs-uring syscall strategy to the I/O
-// engine (src/io/engine.h) — the poll engine's loop is the one that used
-// to live right here; the engine seam is what makes the backend swappable
-// and the cancellation/idle/wait contract testable on both. The lambda
-// captures the reader's shared flag state and hands the engine a SourceCtl
-// view of it per read.
+// The fd source hands each read to its I/O engine (src/io/engine.h), which
+// owns the poll(2)+read loop. The lambda owns the engine and the reader's
+// shared flag state, and passes the engine a SourceCtl view of it per read.
 BlockReader::ReadFn engine_source(
-    io::Engine* engine, int fd, std::shared_ptr<int> error,
+    int fd, io::FaultPlan* faults, std::shared_ptr<int> error,
     std::shared_ptr<std::atomic<bool>> cancel,
     std::shared_ptr<std::atomic<bool>> idle,
     std::shared_ptr<std::atomic<bool>> time_waits,
     std::shared_ptr<std::atomic<std::uint64_t>> wait_ns) {
-  return [engine, fd, error = std::move(error), cancel = std::move(cancel),
-          idle = std::move(idle), time_waits = std::move(time_waits),
+  return [engine = io::Engine(faults), fd, error = std::move(error),
+          cancel = std::move(cancel), idle = std::move(idle),
+          time_waits = std::move(time_waits),
           wait_ns = std::move(wait_ns)](char* buf,
                                         std::size_t n) -> std::size_t {
     io::SourceCtl ctl;
@@ -68,7 +66,7 @@ BlockReader::ReadFn engine_source(
     ctl.time_waits = time_waits.get();
     ctl.wait_ns = wait_ns.get();
     ctl.error = error.get();
-    return engine->read_source(fd, buf, n, ctl);
+    return engine.read_source(fd, buf, n, ctl);
   };
 }
 
@@ -77,17 +75,9 @@ BlockReader::ReadFn engine_source(
 BlockReader::BlockReader(std::istream& in, BlockReaderOptions options)
     : read_(stream_source(in, error_, cancel_)), options_(sanitize(options)) {}
 
-BlockReader::BlockReader(int fd, BlockReaderOptions options)
-    : owned_engine_(io::make_engine()),
-      engine_(owned_engine_.get()),
-      read_(engine_source(engine_, fd, error_, cancel_, idle_, time_waits_,
-                          wait_ns_)),
-      options_(sanitize(options)) {}
-
-BlockReader::BlockReader(int fd, io::Engine* engine,
-                         BlockReaderOptions options)
-    : engine_(engine),
-      read_(engine_source(engine_, fd, error_, cancel_, idle_, time_waits_,
+BlockReader::BlockReader(int fd, BlockReaderOptions options,
+                         io::FaultPlan* faults)
+    : read_(engine_source(fd, faults, error_, cancel_, idle_, time_waits_,
                           wait_ns_)),
       options_(sanitize(options)) {}
 

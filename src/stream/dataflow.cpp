@@ -520,8 +520,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         if (spillable_merge) {
           merger = std::make_unique<SpillMerger>(
               cstage.sort_spec, SpillMerger::Input::kSortedParts,
-              config.spill_threshold, &shared.gauge, config.io,
-              tele.counters);
+              config.spill_threshold, &shared.gauge, config.faults);
           merger->set_telemetry(tele.tracer, tele.label);
           for (std::string& held : group) {
             if (!spill_part(std::move(held))) return false;
@@ -530,8 +529,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
           group_bytes = 0;
         } else if (spoolable_rerun) {
           spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                             &shared.gauge, config.io,
-                                             tele.counters);
+                                             &shared.gauge, config.faults);
           spool->set_telemetry(tele.tracer, tele.label);
           for (const std::string& held : group) {
             if (!spool_part(held)) return false;
@@ -697,8 +695,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
 
   if (spec) {
     SpillMerger sorter(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
-                       config.spill_threshold, &shared.gauge, config.io,
-                       tele.counters);
+                       config.spill_threshold, &shared.gauge, config.faults);
     sorter.set_telemetry(tele.tracer, tele.label);
     bool ok = true;
     while (auto piece = pull()) {
@@ -748,8 +745,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     return;
   }
 
-  RawSpool spool(config.spill_threshold, &shared.gauge, config.io,
-                 tele.counters);
+  RawSpool spool(config.spill_threshold, &shared.gauge, config.faults);
   spool.set_telemetry(tele.tracer, tele.label);
   bool ok = true;
   while (auto piece = pull()) {
@@ -874,7 +870,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
           wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
-          &shared.gauge, config.io, tele.counters);
+          &shared.gauge, config.faults);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (!merger->add(std::move(run))) {
@@ -1075,9 +1071,6 @@ StreamConfig sanitize(StreamConfig config) {
   if (config.max_inflight == 0)
     config.max_inflight =
         2 * static_cast<std::size_t>(config.parallelism) + 2;
-  // Resolve kAuto once so every spill file and the result label agree on
-  // the backend (KQ_IO_BACKEND / kernel probe; see src/io/engine.h).
-  config.io.backend = io::resolve_backend(config.io.backend);
   return config;
 }
 
@@ -1113,7 +1106,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
                                 const StreamConfig& raw_config) {
   const StreamConfig config = sanitize(raw_config);
   StreamResult result;
-  result.io_backend = io::backend_name(config.io.backend);
   auto start = Clock::now();
 
   auto read_error_message = [&config](int err) {
@@ -1214,10 +1206,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     }
   }
   if (config.stats) {
-    // Node 0 pulls straight from the reader: its fd-source engine's
-    // sqe_batches/cqe_waits belong to node 0's counters (null engine for
-    // istream sources; spill engines attach in their constructors).
-    if (reader.engine()) reader.engine()->set_counters(counters[0].get());
     // links[i] connects node i's push side to node i+1's pull side. All
     // telemetry wiring (these calls, the semaphore attach above, and
     // reader.enable_wait_timing/set_tracer) completes before the `threads`
@@ -1240,7 +1228,17 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
   for (std::size_t i = 0; i < n; ++i) {
     Pull pull;
     if (i == 0) {
-      pull = [&reader] { return reader.next(); };
+      // Node 0 has no input channel to charge the gauge, so the block it
+      // holds from the reader counts as in flight until its next pull —
+      // otherwise a single-node run reports a peak of 0 bytes.
+      pull = [&reader, gauge = &shared.gauge,
+              held = std::size_t{0}]() mutable {
+        gauge->sub(held);
+        std::optional<std::string> block = reader.next();
+        held = block ? block->size() : 0;
+        gauge->add(held);
+        return block;
+      };
     } else {
       Channel* in = links[i - 1].get();
       pull = [in]() -> std::optional<std::string> {
@@ -1422,8 +1420,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
       m.pool_misses = c.pool_misses.load(std::memory_order_relaxed);
       m.shard_slices = c.shard_slices.load(std::memory_order_relaxed);
       m.worker_busy_ns = c.worker_busy_ns.load(std::memory_order_relaxed);
-      m.sqe_batches = c.sqe_batches.load(std::memory_order_relaxed);
-      m.cqe_waits = c.cqe_waits.load(std::memory_order_relaxed);
       m.early_exit = obs::early_exit_name(c.early_exit_cause());
     }
     // Node 0 pulls straight from the BlockReader: its input-side blocked
@@ -1470,10 +1466,8 @@ StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
                               int input_fd, const Sink& sink,
                               exec::ThreadPool& pool,
                               const StreamConfig& config) {
-  // The fd source's engine is built from the run's IoOptions so backend
-  // overrides and the fault seam reach the source path, not just spills.
-  std::unique_ptr<io::Engine> engine = io::make_engine(config.io);
-  BlockReader reader(input_fd, engine.get(), reader_options(config));
+  // The fault seam reaches the source path, not just spills.
+  BlockReader reader(input_fd, reader_options(config), config.faults);
   return run_streaming_core(stages, reader, sink, pool, config);
 }
 

@@ -58,7 +58,10 @@
 
 #include "exec/runner.h"
 #include "exec/thread_pool.h"
-#include "io/engine.h"
+
+namespace kq::io {
+class FaultPlan;
+}
 
 namespace kq::obs {
 class Tracer;
@@ -89,11 +92,10 @@ struct StreamConfig {
   // slot count down so the byte budget (max_inflight · block_size) is
   // unchanged.
   std::size_t shard_slice = 0;
-  // I/O backend selection and the fault-injection seam (src/io/engine.h):
-  // the fd source and every spill file route their syscalls through a
-  // kq::io::Engine built from this. kAuto resolves via KQ_IO_BACKEND and
-  // the kernel probe.
-  io::IoOptions io;
+  // Deterministic fault-injection seam (src/io/fault.h; tests only): the
+  // fd source's and every spill file's kq::io::Engine consult it before
+  // each I/O attempt. Must outlive the run.
+  io::FaultPlan* faults = nullptr;
   // Telemetry (src/obs/). `stats` allocates per-node obs::StageCounters and
   // wires blocked-time/record/pool accounting through the run — the
   // extended NodeMetrics fields below are zero without it. A non-null
@@ -134,8 +136,8 @@ struct NodeMetrics {
   std::uint64_t pool_misses = 0;       // BufferPool acquires fresh
   std::uint64_t shard_slices = 0;      // slices shard workers executed
   std::uint64_t worker_busy_ns = 0;    // summed shard-worker execution time
-  std::uint64_t sqe_batches = 0;       // io_uring submit batches (0 on poll)
-  std::uint64_t cqe_waits = 0;         // io_uring completion waits (0 on poll)
+  std::uint64_t sqe_batches = 0;       // always 0; kept as perfbench reads it
+  std::uint64_t cqe_waits = 0;         // always 0; kept as perfbench reads it
   std::string early_exit;              // why input stopped early ("" = ran
                                        // to end of stream)
 
@@ -151,14 +153,13 @@ struct StreamResult {
   bool ok = true;
   std::string error;               // set when !ok
   double seconds = 0;
-  std::size_t peak_inflight_bytes = 0;  // high-water mark across channels
+  // High-water mark of the MemoryGauge: bytes queued in channels, held by
+  // parallel workers and spill buffers, and node 0's current reader block.
+  std::size_t peak_inflight_bytes = 0;
   std::size_t spilled_bytes = 0;        // total spilled across nodes
   // Input bytes the BlockReader delivered — far below the input size when
   // a prefix-bounded stage (head) cancelled the upstream early.
   std::size_t bytes_read = 0;
-  // Resolved I/O backend the run used ("poll" or "uring") — what kAuto
-  // landed on, for the --stats footer and backend-equivalence tests.
-  std::string io_backend;
   std::vector<NodeMetrics> nodes;
   bool stopped_early = false;      // the sink returned false (ok stays true)
   bool combine_undefined = false;  // !ok because a combiner bailed mid-fold

@@ -170,6 +170,15 @@ TEST(Replace, DollarAppends) {
   EXPECT_EQ(re->replace("196", "0s"), "1960s");
 }
 
+TEST(Replace, NoEmptyMatchWhereThePreviousMatchEnded) {
+  // GNU sed (LC_ALL=C) outputs: after "ttt" matches, the empty match of t*
+  // at the 'b' is refused, so no second '-' lands before the 'b'.
+  auto t_star = Regex::compile("t*");
+  EXPECT_EQ(t_star->replace("atttb", "-", /*global=*/true), "-a-b-");
+  auto x_star = Regex::compile("x*");
+  EXPECT_EQ(x_star->replace("abc", "-", /*global=*/true), "-a-b-c-");
+}
+
 TEST(Generator, SamplesMatchPattern) {
   auto re = Regex::compile("light.light");
   auto samples = re->sample_matches(6, 42);

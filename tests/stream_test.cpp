@@ -750,6 +750,28 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   EXPECT_EQ(output, exec::run_serial(stages, input).output);
 }
 
+TEST(StreamChain, SingleNodeRunReportsPeakInFlight) {
+  // One node, no channel: the reader's blocks are node 0's in-flight bytes.
+  std::vector<exec::ExecStage> stages;
+  stages.push_back(streamable_stage("tr 1 2"));
+  std::string input;
+  for (int i = 0; i < 2000; ++i) input += std::to_string(i) + "\n";
+
+  exec::ThreadPool pool(1);
+  StreamConfig config;
+  config.parallelism = 1;
+  config.block_size = 1024;
+  ASSERT_GT(input.size(), config.block_size);
+  std::string output;
+  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ASSERT_TRUE(r.ok) << r.error;
+  ASSERT_EQ(r.nodes.size(), 1u);
+  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  // The in-flight bound: max_inflight (2 · parallelism + 2) blocks.
+  EXPECT_GT(r.peak_inflight_bytes, 0u);
+  EXPECT_LE(r.peak_inflight_bytes, 4 * config.block_size);
+}
+
 TEST(StreamChain, StatefulProcessorsMatchWholeInputAcrossBlockSizes) {
   // tr -s '\n' (squeeze state crosses block boundaries), sed with line
   // addresses (global line counter), tail +N (skip counter): per-block
