@@ -68,10 +68,8 @@ std::string rss_model(const compile::PlannedStage& planned,
   bool spill_on = options.spill_threshold > 0;
   switch (lowered.memory_class) {
     case exec::MemoryClass::kStreaming:
-      if (lowered.shardable)
-        return "O(parallelism x slice): sharded stream sub-chains feed an "
-               "incremental combining tree";
-      return "O(parallelism x block): chunk outputs stream through";
+      return "O(parallelism x slice): slice outputs feed an incremental "
+             "combining tree";
     case exec::MemoryClass::kStatelessStream:
       return "O(block): fused per-block stream chain";
     case exec::MemoryClass::kWindowStream:
@@ -87,10 +85,8 @@ std::string rss_model(const compile::PlannedStage& planned,
     case exec::MemoryClass::kSortableSpill:
       if (!spill_on)
         return "O(input): spilling disabled (--spill-threshold 0)";
-      if (lowered.shardable)
-        return "O(parallelism x window + spill-threshold): sharded "
-               "sub-chains spill sorted runs, external k-way merge";
-      return "O(spill-threshold): sorted runs on disk, external k-way merge";
+      return "O(parallelism x slice + spill-threshold): sorted runs on "
+             "disk, external k-way merge";
     case exec::MemoryClass::kMaterialize:
       return "O(input): whole stream materializes";
   }

@@ -11,11 +11,11 @@
 // `run` executes through kq::Executor (exec/executor.h), defaulting to the
 // streaming dataflow runtime (src/stream/): stdin is consumed in
 // record-aligned blocks and never materialized whole, so memory stays
-// bounded on arbitrarily large inputs; eligible parallel segments run
-// sharded (per-shard stream sub-chains feeding an incremental combining
-// tree). `--batch` selects the original in-memory staged runner through
-// the same facade. --jobs (alias -k) defaults to the hardware thread
-// count, capped at 16, identically in both modes.
+// bounded on arbitrarily large inputs; parallel segments run their fused
+// chain over record-aligned slices feeding an incremental combining tree.
+// `--batch` selects the original in-memory staged runner through the same
+// facade. --jobs (alias -k) defaults to the hardware thread count, capped
+// at 16, identically in both modes.
 //
 // Commands resolve to built-ins when known, otherwise to real binaries
 // through fork/exec — new commands work without any registry change,
@@ -254,7 +254,6 @@ void print_stream_stats(const kq::ExecResult& result) {
     std::cerr << "  [" << i << "] " << n.commands << "\n"
               << "      memory=" << n.memory
               << (n.parallel ? " parallel" : "")
-              << (n.sharded ? " sharded" : "")
               << (n.streamed_combine ? " streamed-combine" : "") << "\n"
               << "      blocks=" << n.chunks << " records=" << n.records_in
               << "/" << n.records_out << " bytes=" << n.in_bytes << "/"
@@ -269,9 +268,8 @@ void print_stream_stats(const kq::ExecResult& result) {
     if (!n.early_exit.empty())
       std::cerr << " early-exit=" << n.early_exit;
     std::cerr << "\n";
-    if (n.sharded)
-      std::cerr << "      shard slice=" << n.shard_slice_bytes
-                << " bytes slices=" << n.shard_slices
+    if (n.parallel)
+      std::cerr << "      slices=" << n.shard_slices
                 << " worker-busy=" << format_ms(n.worker_busy_ns) << "\n";
   }
 }
@@ -466,7 +464,7 @@ void usage() {
                "\n"
                "  run executes through kq::Executor: the streaming dataflow\n"
                "  runtime by default (bounded memory, default 1M blocks;\n"
-               "  eligible parallel stages run sharded). Nodes that would\n"
+               "  parallel stages run over 2-block slices). Nodes that would\n"
                "  accumulate more than --spill-threshold (default 64M) spill\n"
                "  to disk; 0 disables spilling. --delimiter sets the record\n"
                "  byte the streaming reader realigns on (default \\n; accepts\n"

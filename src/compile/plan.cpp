@@ -114,12 +114,14 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
     if (p.command) {
       stage.command = p.command;
     } else {
-      // Unknown command: a pass-through stage would silently corrupt
-      // results, so surface the failure loudly at run time instead.
+      // Unknown command: no stage output would be right, so running it
+      // fails the run with a coded diagnostic (exit 2, nothing on stdout).
       std::string name = p.parsed.display;
       stage.command = cmd::make_lambda_command(
           name, [name](std::string_view) -> std::string {
-            return "kumquat: cannot execute unknown stage: " + name + "\n";
+            std::string msg = "[KQ-EXEC] cannot execute unknown stage: ";
+            msg += name;
+            throw cmd::CommandFailure(msg);
           });
     }
     stage.parallel = p.parallel;
@@ -187,15 +189,6 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
         stage.sort_spec = std::move(spec);
       }
     }
-    // Shard eligibility: a parallel combined stage whose command executes
-    // through a stream/window processor can run as a per-shard stream
-    // sub-chain (exec::run_slice_fused) instead of whole-slice Command::run
-    // hops, bounding each shard worker at O(block + window). Prefix-bounded
-    // stages are deliberately excluded — their streaming early exit (head
-    // reads O(blocks)) beats any data parallelism.
-    stage.shardable = stage.parallel && stage.combine != nullptr &&
-                      (streamable == cmd::Streamability::kPerRecord ||
-                       streamable == cmd::Streamability::kWindow);
     stages.push_back(std::move(stage));
   }
   return stages;

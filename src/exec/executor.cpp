@@ -145,7 +145,6 @@ ExecResult Executor::run_stream(const std::vector<exec::ExecStage>& stages,
   config.use_elimination = options_.use_elimination;
   config.delimiter = options_.delimiter;
   config.spill_threshold = options_.spill_threshold;
-  config.shard_slice = options_.shard_slice;
   config.faults = options_.fault_plan;
   config.stats = options_.stats;
   config.tracer = options_.tracer;

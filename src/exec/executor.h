@@ -10,7 +10,7 @@
 //
 // Mode semantics:
 //   kStream (default) — the dataflow runtime: record-aligned blocks,
-//     bounded channels, fused stream chains, sharded parallel segments,
+//     bounded channels, fused stream chains, parallel segments,
 //     spill. Memory O(k · window + in-flight budget) regardless of input.
 //   kBatch  — the paper's staged runner: input slurped whole, stage
 //     barriers, k-way split + combine. Memory O(input).
@@ -56,7 +56,7 @@ inline const char* exec_mode_name(ExecMode m) {
 int default_parallelism();
 
 // One knob set for every mode. Streaming-only fields (block_size,
-// max_inflight, spill_threshold, shard_slice, delimiter) are ignored by
+// max_inflight, spill_threshold, delimiter) are ignored by
 // kBatch/kSerial; parallelism and use_elimination apply to both executors.
 struct ExecOptions {
   ExecMode mode = ExecMode::kStream;
@@ -68,7 +68,6 @@ struct ExecOptions {
   std::size_t max_inflight = 0;      // 0 derives 2 · parallelism + 2
   char delimiter = '\n';
   std::size_t spill_threshold = 64 << 20;
-  std::size_t shard_slice = 0;       // 0 derives 2 · block_size
   // Deterministic fault-injection seam (tests only): scripted failpoints
   // every engine built for the run consults. Must outlive the run.
   io::FaultPlan* fault_plan = nullptr;

@@ -31,7 +31,7 @@ std::vector<std::string> map_chunks_chain(
 // materialized intermediate. `step` is the cascade's internal block size
 // (records longer than a step travel whole). Byte-identical to chaining
 // Command::run by the streamability contract — this is the single slice
-// executor behind both the batch mapper and the sharded streaming workers.
+// executor behind both the batch mapper and the streaming parallel workers.
 std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
                             std::string_view slice, std::size_t step,
                             char delimiter = '\n');

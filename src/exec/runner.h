@@ -104,15 +104,6 @@ struct ExecStage {
   // command's own spec when sequential (it defines the stage itself).
   MemoryClass memory_class = MemoryClass::kMaterialize;
   std::shared_ptr<const cmd::SortSpec> sort_spec;
-  // Set by compile::lower_plan: this parallel stage can run as a per-shard
-  // stream sub-chain — it has a combiner and its command executes through a
-  // cmd::StreamProcessor (kPerRecord) or cmd::WindowProcessor (kWindow), so
-  // a shard worker holds O(block + window) instead of O(slice output) per
-  // hop. The streaming runtime shards a parallel segment when every fused
-  // member is shardable (and every non-terminal member is per-record);
-  // check's KQ-MEM model reads the same bit. Prefix-bounded stages (head)
-  // stay unshardable by design: their early exit beats data parallelism.
-  bool shardable = false;
   std::string combiner_name;       // for reports
 };
 

@@ -14,8 +14,8 @@
 //                        BlockReader's poll wait); the "blocked %" column
 //   pool hit/miss      — BufferPool acquires served from recycled capacity
 //   spill runs/bytes   — sorted runs and bytes written to disk
-//   shard slices       — slices executed by a sharded segment's workers
-//   worker busy        — wall time the segment's shard workers spent
+//   shard slices       — slices executed by a parallel segment's workers
+//   worker busy        — wall time the segment's workers spent
 //                        executing slices (summed across workers; compare
 //                        against the node's span for parallel efficiency)
 //   early_exit         — why the node stopped consuming input early

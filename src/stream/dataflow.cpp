@@ -41,20 +41,17 @@ struct NodeTelemetry {
 
 // A pipeline segment: one node of the dataflow graph. Sequential stages
 // become single-stage drain nodes; consecutive parallel stages joined by
-// eliminated combiners fuse into one worker chain whose chunk outputs are
-// combined by the final stage's combiner; consecutive declared-streamable
-// stages fuse into one per-block stream-chain node, optionally terminated
-// by a single window-bounded stage (tail -n N, uniq, wc, sort -u) whose
-// finish() flushes at end of input.
+// eliminated combiners fuse into one worker chain (run over each slice by
+// exec::run_slice_fused) whose slice outputs are combined by the final
+// stage's combiner; consecutive declared-streamable stages fuse into one
+// per-block stream-chain node, optionally terminated by a single
+// window-bounded stage (tail -n N, uniq, wc, sort -u) whose finish()
+// flushes at end of input.
 struct Segment {
   std::vector<const exec::ExecStage*> chain;
   bool parallel = false;
   bool stream = false;       // per-block chain of cmd::StreamProcessors
   bool window = false;       // chain.back() is a cmd::WindowProcessor stage
-  // Parallel segment whose workers run fused per-shard stream sub-chains
-  // (exec::run_slice_fused) over contiguous record-aligned slices instead
-  // of whole-slice Command::run hops; the collector is its combining tree.
-  bool sharded = false;
   bool emit_concat = false;  // combiner is concat: emit instead of folding
   const exec::ExecStage* combine_stage = nullptr;
 
@@ -153,31 +150,6 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
       }
       seg.combine_stage = seg.chain.back();
       seg.emit_concat = seg.combine_stage->concat_combiner;
-      // Sharded mode: every fused member was recorded shard-eligible by
-      // lower_plan AND the chain shape admits a processor cascade — all
-      // non-terminal members per-record, the terminal per-record or window
-      // (a window's emission happens at slice end, so nothing can cascade
-      // behind it inside a shard). Streamability is a statement about
-      // '\n'-delimited records, so a custom delimiter keeps the whole-slice
-      // worker path.
-      if (config.delimiter == '\n') {
-        bool ok = true;
-        for (std::size_t j = 0; j < seg.chain.size(); ++j) {
-          const exec::ExecStage* s = seg.chain[j];
-          if (!s->shardable || !s->command) {
-            ok = false;
-            break;
-          }
-          const cmd::Streamability sb = s->command->streamability();
-          const bool terminal = j + 1 == seg.chain.size();
-          if (sb != cmd::Streamability::kPerRecord &&
-              !(terminal && sb == cmd::Streamability::kWindow)) {
-            ok = false;
-            break;
-          }
-        }
-        seg.sharded = ok;
-      }
     }
     ++i;
     segments.push_back(std::move(seg));
@@ -252,13 +224,11 @@ struct ParallelCtx {
 
   Channel results;
   Semaphore slots;
+  // Workers run exec::run_slice_fused(chain, slice, cascade_step, delimiter)
+  // over slices the feeder coalesces toward `slice_bytes`.
   std::vector<const cmd::Command*> chain;
-  // Sharded segment: workers run exec::run_slice_fused over slices of
-  // `slice_bytes` (cascading internally in `cascade_step` blocks) instead
-  // of whole-slice Command::run hops.
-  bool sharded = false;
   std::size_t slice_bytes = 0;   // the feeder's coalescing target
-  std::size_t cascade_step = 0;  // block size inside a shard's cascade
+  std::size_t cascade_step = 0;  // block size inside a slice's cascade
   char delimiter = '\n';
   std::atomic<std::ptrdiff_t> expected{-1};  // chunk count, once known
   // Set by the collector when downstream closed its read side: the feeder
@@ -297,18 +267,15 @@ struct ParallelCtx {
 };
 
 // Feeder: pulls record-aligned pieces, coalesces them toward the segment's
-// chunk target (block_size, or the larger shard slice for sharded
-// segments), and fans chunks out to the worker pool under the in-flight
+// slice size, and fans slices out to the worker pool under the in-flight
 // bound. A feeder out of slots steals queued pool tasks instead of
-// sleeping, so an unlucky shard distribution can't idle workers while a
+// sleeping, so an unlucky slice distribution can't idle workers while a
 // straggler holds every slot.
 void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
                 const NodeTelemetry& tele, Shared& shared,
-                exec::ThreadPool& pool, const StreamConfig& config) {
+                exec::ThreadPool& pool) {
   std::size_t index = 0;
   std::string buf;
-  const std::size_t chunk_target =
-      ctx.sharded ? ctx.slice_bytes : config.block_size;
 
   auto acquire_slot = [&] {
     for (;;) {
@@ -339,27 +306,13 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
         // Name built only when tracing (it concatenates).
         obs::Tracer::Span span;
         if (t->tracer) {
-          span = t->tracer->span(
-              t->label + (c->sharded ? ": shard-slice" : ": worker-chunk"),
-              "block");
+          span = t->tracer->span(t->label + ": worker-chunk", "block");
           span.arg("chunk", idx);
           span.arg("bytes_in", in_size);
         }
         const auto busy_start = Clock::now();
-        std::string current;
-        if (c->sharded) {
-          // Per-shard sub-chain: the slice cascades through fresh
-          // StreamProcessors (window terminal included) in cascade_step
-          // blocks — O(block + window) resident per shard, and
-          // byte-identical to the Command::run hops by the streamability
-          // contract.
-          current = exec::run_slice_fused(c->chain, data, c->cascade_step,
-                                          c->delimiter);
-        } else {
-          current = std::move(data);
-          for (const cmd::Command* stage : c->chain)
-            current = stage->run(current);
-        }
+        std::string current = exec::run_slice_fused(
+            c->chain, data, c->cascade_step, c->delimiter);
         if (t->counters) {
           t->counters->shard_slices.fetch_add(1, std::memory_order_relaxed);
           t->counters->worker_busy_ns.fetch_add(
@@ -382,12 +335,12 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 
   while (auto piece = pull()) {
     if (shared.halted() || ctx.stop_input.load()) break;
-    if (buf.empty() && piece->size() >= chunk_target) {
+    if (buf.empty() && piece->size() >= ctx.slice_bytes) {
       if (!submit(std::move(*piece))) break;
       continue;
     }
     buf += *piece;
-    if (buf.size() >= chunk_target) {
+    if (buf.size() >= ctx.slice_bytes) {
       if (!submit(std::move(buf))) break;
       buf.clear();
     }
@@ -404,7 +357,7 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 
 // Collector: the segment's combining tree. Restores input order, then
 // either emits chunk outputs immediately (concat combiners: early handoff
-// in shard order) or folds them incrementally with doubling group sizes
+// in slice order) or folds them incrementally with doubling group sizes
 // (total fold work O(output · log chunks)); merge-mode combiners past the
 // spill threshold hand the tree to SpillMerger. While waiting for the next
 // part it steals queued pool tasks — often this segment's own straggler
@@ -497,7 +450,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
 
   auto take_part = [&](std::string&& part) -> bool {
     if (seg.emit_concat) {
-      // Concat early handoff: the part is next in shard order, so it goes
+      // Concat early handoff: the part is next in slice order, so it goes
       // downstream the moment it arrives — no accumulation.
       auto span = obs::span(tele.tracer, "combine-emit", "combine");
       span.arg("bytes", part.size());
@@ -1081,18 +1034,8 @@ StreamConfig sanitize(StreamConfig config) {
 const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
   if (seg.window) return "window-stream";
   if (seg.stream) return "stateless-stream";
-  if (seg.parallel) {
-    if (seg.sharded) {
-      // Shard workers hold O(block + window) each; the combining tree's
-      // residency is the combiner's (concat streams, merge spills).
-      switch (seg.combine_stage->memory_class) {
-        case exec::MemoryClass::kSortableSpill: return "sharded-spill-merge";
-        case exec::MemoryClass::kStreaming: return "sharded-streaming";
-        default: return "sharded";
-      }
-    }
+  if (seg.parallel)
     return exec::memory_class_name(seg.combine_stage->memory_class);
-  }
   const exec::ExecStage& stage = *seg.chain.front();
   if (stage.memory_class == exec::MemoryClass::kSortableSpill &&
       config.delimiter == '\n' && stage.command)
@@ -1166,7 +1109,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     result.nodes[i].streamed_combine = segments[i].emit_concat;
     result.nodes[i].per_block = segments[i].stream;
     result.nodes[i].window = segments[i].window;
-    result.nodes[i].sharded = segments[i].sharded;
     if (config.stats) {
       counters[i] = std::make_unique<obs::StageCounters>();
       teles[i].counters = counters[i].get();
@@ -1175,25 +1117,17 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     teles[i].tracer = config.tracer;
     teles[i].label = result.nodes[i].commands;
     if (segments[i].parallel) {
-      // Sharded segments fan out in slices larger than a block (fewer
+      // Parallel segments fan out in slices of two blocks (fewer
       // combine-tree parts, fewer processor setups) and scale the in-flight
       // slot count down to keep the same byte budget
       // (max_inflight · block_size); the floor of parallelism + 1 slots
       // keeps every worker busy plus one slice queued.
-      std::size_t inflight = config.max_inflight;
-      std::size_t slice = config.block_size;
-      if (segments[i].sharded) {
-        slice = config.shard_slice != 0 ? config.shard_slice
-                                        : 2 * config.block_size;
-        if (slice < config.block_size) slice = config.block_size;
-        const std::size_t budget = config.max_inflight * config.block_size;
-        inflight = std::max<std::size_t>(
-            static_cast<std::size_t>(config.parallelism) + 1,
-            (budget + slice - 1) / slice);
-        result.nodes[i].shard_slice_bytes = slice;
-      }
+      const std::size_t slice = 2 * config.block_size;
+      const std::size_t budget = config.max_inflight * config.block_size;
+      const std::size_t inflight = std::max<std::size_t>(
+          static_cast<std::size_t>(config.parallelism) + 1,
+          (budget + slice - 1) / slice);
       ctxs[i] = std::make_unique<ParallelCtx>(inflight, &shared.gauge);
-      ctxs[i]->sharded = segments[i].sharded;
       ctxs[i]->slice_bytes = slice;
       ctxs[i]->cascade_step = config.block_size;
       ctxs[i]->delimiter = config.delimiter;
@@ -1325,13 +1259,13 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     if (seg.parallel) {
       ParallelCtx& ctx = *ctxs[i];
       threads.emplace_back(
-          [&ctx, &metrics, pull, &tele, &shared, &pool, &config] {
+          [&ctx, &metrics, pull, &tele, &shared, &pool] {
             if (tele.tracer)
               tele.tracer->set_thread_name(tele.label + " (feeder)");
             auto span =
                 obs::span(tele.tracer, "node: " + tele.label, "node");
             try {
-              run_feeder(ctx, metrics, pull, tele, shared, pool, config);
+              run_feeder(ctx, metrics, pull, tele, shared, pool);
             } catch (const std::exception& e) {
               shared.fail(std::string("feeder failed: ") + e.what());
               ctx.expected.store(ctx.submitted_so_far());

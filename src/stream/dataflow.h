@@ -85,13 +85,6 @@ struct StreamConfig {
   // max(block_size, spill_threshold) per record. 0 disables spilling (and
   // the record cap) entirely.
   std::size_t spill_threshold = 64 << 20;
-  // Slice size for sharded parallel segments (the contiguous record-aligned
-  // unit a shard worker runs its fused sub-chain over). 0 derives
-  // 2 · block_size. Larger slices mean fewer combine-tree parts and less
-  // per-slice processor setup; the runtime scales the segment's in-flight
-  // slot count down so the byte budget (max_inflight · block_size) is
-  // unchanged.
-  std::size_t shard_slice = 0;
   // Deterministic fault-injection seam (src/io/fault.h; tests only): the
   // fd source's and every spill file's kq::io::Engine consult it before
   // each I/O attempt. Must outlive the run.
@@ -112,11 +105,6 @@ struct NodeMetrics {
   bool streamed_combine = false;  // concat emission, no accumulation
   bool per_block = false;         // stream-chain node (kStatelessStream)
   bool window = false;            // chain ends in a window stage (kWindow)
-  // Parallel segment ran sharded: each worker executed a fused
-  // StreamProcessor/WindowProcessor sub-chain over a contiguous slice
-  // (exec::run_slice_fused) instead of whole-string Command::run hops.
-  bool sharded = false;
-  std::size_t shard_slice_bytes = 0;  // slice size the feeder targeted
   int chunks = 0;                 // blocks processed by this node
   std::size_t in_bytes = 0;
   std::size_t out_bytes = 0;
@@ -134,8 +122,8 @@ struct NodeMetrics {
                                        // (node 0: the reader's poll waits)
   std::uint64_t pool_hits = 0;         // BufferPool acquires recycled
   std::uint64_t pool_misses = 0;       // BufferPool acquires fresh
-  std::uint64_t shard_slices = 0;      // slices shard workers executed
-  std::uint64_t worker_busy_ns = 0;    // summed shard-worker execution time
+  std::uint64_t shard_slices = 0;      // slices this node's workers ran
+  std::uint64_t worker_busy_ns = 0;    // summed worker execution time
   std::uint64_t sqe_batches = 0;       // always 0; kept as perfbench reads it
   std::uint64_t cqe_waits = 0;         // always 0; kept as perfbench reads it
   std::string early_exit;              // why input stopped early ("" = ran

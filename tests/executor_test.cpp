@@ -228,6 +228,35 @@ TEST(Executor, CommandFailureFailsTheRunInEveryMode) {
   }
 }
 
+TEST(Executor, UnknownStageFailsTheRunInEveryMode) {
+  // An unknown command has no right output: running it fails the run with
+  // [KQ-EXEC] and delivers nothing, alone and ahead of a parallel stage.
+  const std::string input = sample_input();
+  struct Leg {
+    ExecMode mode;
+    int parallelism;
+  };
+  for (const char* pipeline : {"frobnicate", "frobnicate | wc -l"}) {
+    auto stages = compile_stages(pipeline);
+    for (Leg leg : {Leg{ExecMode::kSerial, 1}, Leg{ExecMode::kBatch, 4},
+                    Leg{ExecMode::kStream, 1}, Leg{ExecMode::kStream, 4}}) {
+      ExecOptions options;
+      options.mode = leg.mode;
+      options.parallelism = leg.parallelism;
+      ExecResult r = Executor(options).run_collect(stages, input);
+      std::string where = pipeline;
+      where += ' ';
+      where += exec_mode_name(leg.mode);
+      where += " k=";
+      where += std::to_string(leg.parallelism);
+      EXPECT_FALSE(r.ok) << where;
+      EXPECT_NE(r.error.find("[KQ-EXEC]"), std::string::npos)
+          << where << ": " << r.error;
+      EXPECT_EQ(r.output, "") << where;
+    }
+  }
+}
+
 TEST(Executor, BatchFailureWaitsForEveryChunk) {
   // The failing line opens the first chunk, and every other chunk is a
   // long run of lines that each need the backtracker (they hold the 'b'):

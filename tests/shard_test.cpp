@@ -1,9 +1,9 @@
-// Tests for sharded streaming execution: eligible parallel segments run as
-// per-shard stream sub-chains (exec::run_slice_fused) feeding the
-// incremental combining tree. Cross-validates the whole 70-script catalog
-// at k in {2, 4, 8} against the serial oracle, plus a forced-spill sharded
+// Tests for the streaming runtime's parallel segments: every one runs its
+// fused chain over record-aligned slices (exec::run_slice_fused) feeding
+// the incremental combining tree. Cross-validates the whole 70-script
+// catalog at k in {2, 4, 8} against the serial oracle, plus a forced-spill
 // run, a downstream-close (`| head`) early exit that cancels in-flight
-// shards, and the shard-eligibility/telemetry contracts.
+// slices, and the slice telemetry contract.
 
 #include <gtest/gtest.h>
 
@@ -50,87 +50,41 @@ kq::ExecOptions stream_options(int k, std::size_t block_size) {
   return o;
 }
 
-// ---------------------------------------------------- shard eligibility --
+// ------------------------------------------------------ slice telemetry --
 
-TEST(ShardPlan, LowerPlanMarksShardableStages) {
-  auto stages = compile_stages("tr A-Z a-z | sort -u | wc -l");
-  ASSERT_EQ(stages.size(), 3u);
-  // tr: parallel per-record with a concat combiner -> shardable.
-  EXPECT_TRUE(stages[0].shardable);
-  // sort -u: parallel window command (the distinct set is the bounded
-  // window) with a merge combiner -> shardable.
-  EXPECT_TRUE(stages[1].shardable);
-  // wc -l: parallel per-record fold -> shardable.
-  EXPECT_TRUE(stages[2].shardable);
-
-  // Plain sort declares Streamability::kNone — its state is the whole
-  // input, so it keeps the whole-slice worker path.
-  auto whole = compile_stages("tr A-Z a-z | sort | wc -l");
-  ASSERT_EQ(whole.size(), 3u);
-  EXPECT_TRUE(whole[0].shardable);
-  EXPECT_FALSE(whole[1].shardable);
-  EXPECT_TRUE(whole[2].shardable);
-
-  // head: prefix-bounded — early exit beats data parallelism, by design
-  // never sharded.
-  auto prefix = compile_stages("grep line | head -n 10");
-  ASSERT_EQ(prefix.size(), 2u);
-  EXPECT_TRUE(prefix[0].shardable);
-  EXPECT_FALSE(prefix[1].shardable);
-}
-
-TEST(ShardPlan, SequentialAndUnknownStagesAreNotShardable) {
-  auto stages = compile_stages("frobnicate | tail -n 3");
-  ASSERT_EQ(stages.size(), 2u);
-  EXPECT_FALSE(stages[0].shardable);  // unknown command, sequential
-  EXPECT_FALSE(stages[1].shardable);  // sequential window
-}
-
-// ------------------------------------------------------ sharded telemetry --
-
+// Every parallel segment runs exec::run_slice_fused over slices, whatever
+// its members' streamability: a per-record chain cascades through stream
+// processors, while plain sort (merge combiner, kNone) and awk (concat
+// combiner, kNone) run whole on each slice.
 TEST(ShardDataflow, EligibleSegmentRunsShardedWithSliceTelemetry) {
-  auto stages = compile_stages("tr a-z A-Z | grep A");
   std::string input;
   for (int i = 0; i < 4000; ++i)
-    input += "alpha beta gamma line " + std::to_string(i) + "\n";
+    input += "alpha beta gamma line " + std::to_string((i * 7919) % 4000) +
+             "\n";
 
-  kq::ExecOptions options = stream_options(4, 2048);
-  options.stats = true;
-  kq::Executor executor(options);
-  kq::ExecResult r = executor.run_collect(stages, input);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
-  ASSERT_EQ(r.nodes.size(), 1u);  // fused into one parallel segment
-  EXPECT_TRUE(r.nodes[0].sharded);
-  EXPECT_GT(r.nodes[0].shard_slice_bytes, 0u);
-  EXPECT_GT(r.nodes[0].shard_slices, 0u);
-  EXPECT_GT(r.nodes[0].worker_busy_ns, 0u);
+  for (const char* pipeline :
+       {"tr a-z A-Z | grep A", "sort", "awk '{print $5}'"}) {
+    auto stages = compile_stages(pipeline);
+    kq::ExecOptions options = stream_options(4, 2048);
+    options.stats = true;
+    kq::Executor executor(options);
+    kq::ExecResult r = executor.run_collect(stages, input);
+    ASSERT_TRUE(r.ok) << pipeline << ": " << r.error;
+    EXPECT_FALSE(r.batch_fallback) << pipeline;
+    EXPECT_EQ(r.output, exec::run_serial(stages, input).output) << pipeline;
+    ASSERT_EQ(r.nodes.size(), 1u) << pipeline;  // one parallel segment
+    EXPECT_TRUE(r.nodes[0].parallel) << pipeline;
+    EXPECT_GT(r.nodes[0].shard_slices, 0u) << pipeline;
+    EXPECT_GT(r.nodes[0].worker_busy_ns, 0u) << pipeline;
+  }
 }
 
-TEST(ShardDataflow, ShardSliceOverrideIsHonored) {
-  auto stages = compile_stages("tr a-z A-Z");
-  std::string input;
-  for (int i = 0; i < 2000; ++i) input += "line number " + std::to_string(i) + "\n";
-
-  kq::ExecOptions options = stream_options(2, 1024);
-  options.shard_slice = 8192;
-  options.stats = true;
-  kq::Executor executor(options);
-  kq::ExecResult r = executor.run_collect(stages, input);
-  ASSERT_TRUE(r.ok) << r.error;
-  ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_TRUE(r.nodes[0].sharded);
-  EXPECT_EQ(r.nodes[0].shard_slice_bytes, 8192u);
-  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
-}
-
-// ---------------------------------------------------- forced-spill shards --
+// ---------------------------------------------------- forced-spill slices --
 
 TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
-  // sort -u is the spillable *and* shardable sort form: the distinct set
-  // is its window, and when that window outgrows the spill threshold the
-  // sharded node drains it as sorted runs for the external merge.
+  // sort -u's distinct set is its window; when the merge node's
+  // accumulation outgrows the spill threshold it drains sorted runs for
+  // the external merge.
   auto stages = compile_stages("tr A-Z a-z | sort -u");
   std::string input;
   for (int i = 0; i < 3000; ++i)
@@ -146,11 +100,10 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
   EXPECT_FALSE(r.batch_fallback);
   EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   EXPECT_GT(r.spilled_bytes, 0u);
-  bool any_sharded_spill = false;
+  bool any_spill = false;
   for (const stream::NodeMetrics& n : r.nodes)
-    if (n.sharded && n.spill_runs > 0) any_sharded_spill = true;
-  EXPECT_TRUE(any_sharded_spill)
-      << "expected a sharded node with sorted spill runs";
+    if (n.spill_runs > 0) any_spill = true;
+  EXPECT_TRUE(any_spill) << "expected a node with sorted spill runs";
 }
 
 // ------------------------------------------------- downstream-close early --
@@ -158,7 +111,6 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
 TEST(ShardDataflow, DownstreamHeadCancelsInflightShards) {
   auto stages = compile_stages("grep line | head -n 10");
   ASSERT_EQ(stages.size(), 2u);
-  EXPECT_TRUE(stages[0].shardable);
   std::string input;
   for (int i = 0; i < 200000; ++i)
     input += "line " + std::to_string(i) + " padding padding padding\n";
@@ -168,15 +120,21 @@ TEST(ShardDataflow, DownstreamHeadCancelsInflightShards) {
   kq::ExecResult r = executor.run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  // grep runs parallel; head stays its own (prefix-bounded) node.
+  ASSERT_EQ(r.nodes.size(), 2u);
+  EXPECT_EQ(r.nodes[0].commands, "grep line");
+  EXPECT_TRUE(r.nodes[0].parallel);
+  EXPECT_EQ(r.nodes[1].commands, "head -n 10");
+  EXPECT_FALSE(r.nodes[1].parallel);
   // head satisfied after 10 records: upstream cancellation must stop the
   // reader long before the ~6 MiB input drains.
   EXPECT_LT(r.bytes_read, input.size() / 4)
-      << "early exit did not cancel in-flight shards";
+      << "early exit did not cancel in-flight slices";
 }
 
 // ------------------------------------------------ catalog cross-validation --
 
-// Every catalog pipeline, streamed through the sharded runtime at k in
+// Every catalog pipeline, streamed through the parallel runtime at k in
 // {2, 4, 8} with small blocks (so parallel segments see many slices), must
 // stay byte-identical to the serial oracle.
 class ShardCatalogCrossval
