@@ -33,11 +33,15 @@ void BM_SplitStream(benchmark::State& state) {
 }
 BENCHMARK(BM_SplitStream)->Arg(2)->Arg(16);
 
-void BM_KWayMerge(benchmark::State& state) {
-  auto spec = kq::cmd::SortSpec::parse({});
-  std::string sorted = spec->sort_stream(sample_text(1 << 18));
-  auto chunks = kq::exec::split_stream(sorted, static_cast<int>(
-                                                   state.range(0)));
+// sort -m over k parts of the sample, each sorted on its own: the
+// §3.5 merge combiner's cost under `flags`.
+void BM_KWayMerge(benchmark::State& state, const char* flags) {
+  std::vector<std::string> words;
+  if (*flags != '\0') words.emplace_back(flags);
+  auto spec = kq::cmd::SortSpec::parse(words);
+  std::string input = sample_text(1 << 18);
+  auto chunks = kq::exec::split_stream(input, static_cast<int>(
+                                                  state.range(0)));
   std::vector<std::string> parts;
   for (auto c : chunks) parts.push_back(spec->sort_stream(c));
   std::vector<std::string_view> views(parts.begin(), parts.end());
@@ -46,9 +50,10 @@ void BM_KWayMerge(benchmark::State& state) {
     benchmark::DoNotOptimize(merged);
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
-                          static_cast<int64_t>(sorted.size()));
+                          static_cast<int64_t>(input.size()));
 }
-BENCHMARK(BM_KWayMerge)->Arg(2)->Arg(16);
+BENCHMARK_CAPTURE(BM_KWayMerge, bytewise, "")->Arg(2)->Arg(16);
+BENCHMARK_CAPTURE(BM_KWayMerge, k2, "-k2")->Arg(4);
 
 void BM_Stitch2Eval(benchmark::State& state) {
   kq::cmd::CommandPtr uniq = kq::cmd::make_command_line("uniq -c");
@@ -89,6 +94,8 @@ void BM_BuiltinCommand(benchmark::State& state, const char* line) {
 }
 BENCHMARK_CAPTURE(BM_BuiltinCommand, tr, "tr A-Z a-z");
 BENCHMARK_CAPTURE(BM_BuiltinCommand, sort, "sort");
+BENCHMARK_CAPTURE(BM_BuiltinCommand, sort_k2, "sort -k2");
+BENCHMARK_CAPTURE(BM_BuiltinCommand, sort_rn, "sort -rn");
 BENCHMARK_CAPTURE(BM_BuiltinCommand, uniq_c, "uniq -c");
 BENCHMARK_CAPTURE(BM_BuiltinCommand, grep, "grep light");
 BENCHMARK_CAPTURE(BM_BuiltinCommand, grep_v, "grep -v light");

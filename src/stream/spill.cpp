@@ -248,43 +248,39 @@ bool SpillMerger::finish(const std::function<bool(std::string&&)>& push,
     cursors.emplace_back(file_.get(), run.offset, run.size);
   if (!resident.empty()) cursors.emplace_back(std::move(resident));
 
-  // k-way merge mirroring SortSpec::merge_streams: min-heap via inverted
-  // comparison, ties to the lower run index (runs are input-ordered, so
-  // this reproduces the in-memory paths' stability).
-  auto heap_less = [&](std::size_t a, std::size_t b) {
-    int c = spec_->compare(cursors[a].line(), cursors[b].line());
-    if (c != 0) return c > 0;
-    return a > b;
-  };
-  std::vector<std::size_t> heap;
+  // The keyed k-way merge of SortSpec::merge_streams over run cursors:
+  // ties go to the lower run index (runs are input-ordered, so this
+  // reproduces the in-memory paths' stability). A cursor's line() stays
+  // valid until it advances, so its keyed head does too.
+  const cmd::SortSpec& spec = *spec_;
+  cmd::KeyedMerge merge(spec);
   for (std::size_t i = 0; i < cursors.size(); ++i) {
     if (cursors[i].advance()) {
-      heap.push_back(i);
+      merge.add(i, spec.keyed(cursors[i].line()));
     } else if (cursors[i].failed()) {
       error_ = file_->error();
       return false;
     }
   }
-  std::make_heap(heap.begin(), heap.end(), heap_less);
 
   std::string out;
-  std::string last_emitted;
+  // -u: the last emitted record, keyed over its own copy of the bytes
+  // (its cursor's buffer moves on when the cursor advances).
+  std::string last_line;
+  cmd::KeyedLine last;
   bool have_last = false;
   bool stopped = false;
 
-  while (!heap.empty()) {
-    std::pop_heap(heap.begin(), heap.end(), heap_less);
-    std::size_t q = heap.back();
-    heap.pop_back();
-    std::string_view line = cursors[q].line();
-    bool keep = !spec_->unique() || !have_last ||
-                spec_->compare(last_emitted, line) != 0;
+  while (!merge.empty()) {
+    const cmd::KeyedLine& head = merge.top();
+    bool keep = !spec.unique() || !have_last || spec.compare(last, head) != 0;
     if (keep) {
-      if (spec_->unique()) {
-        last_emitted.assign(line);
+      if (spec.unique()) {
+        last_line.assign(head.line);
+        last = cmd::rebased(head, last_line);
         have_last = true;
       }
-      out += line;
+      out += head.line;
       out += '\n';
       // `out` ends at a record boundary, so the whole buffer moves out.
       if (out.size() >= block_size) {
@@ -295,12 +291,14 @@ bool SpillMerger::finish(const std::function<bool(std::string&&)>& push,
         out = std::string();
       }
     }
+    std::size_t q = merge.top_source();
     if (cursors[q].advance()) {
-      heap.push_back(q);
-      std::push_heap(heap.begin(), heap.end(), heap_less);
+      merge.replace_top(spec.keyed(cursors[q].line()));
     } else if (cursors[q].failed()) {
       error_ = file_->error();
       return false;
+    } else {
+      merge.pop_top();
     }
   }
   if (!stopped && !out.empty()) push(std::move(out));

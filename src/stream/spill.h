@@ -14,8 +14,10 @@
 //     runs on disk (sorting each batch for a sequential `sort` stage,
 //     merging pre-sorted chunk outputs for a merge-mode combiner), and a
 //     final streaming k-way merge — the k-way `sort -m` of §3.5, lifted
-//     from whole in-memory streams to disk-backed run cursors — re-streams
-//     the result downstream in record-aligned blocks. Stability matches
+//     from whole in-memory streams to disk-backed run cursors, on the same
+//     keyed heap (cmd::KeyedMerge) — re-streams the result downstream in
+//     record-aligned blocks. Each cursor's head is keyed once when it
+//     advances, so compares read pre-extracted keys. Stability matches
 //     the in-memory paths: runs are input-ordered, ties break on run
 //     index, and -u dedupes across runs exactly like
 //     SortSpec::merge_streams.

@@ -26,22 +26,23 @@ class TopNWindowProcessor final : public WindowProcessor {
     if (limit_ == 0) return;
     for (std::string_view line : text::lines(block)) {
       ++seq_;
+      KeyedLine key = spec_->keyed(line);
       if (set_.size() == limit_ &&
-          spec_->compare(line, std::prev(set_.end())->line) >= 0) {
+          spec_->compare(key, std::prev(set_.end())->keyed()) >= 0) {
         // Full window and the line sorts at-or-after the current maximum:
         // a later-sequence tie or greater line can never enter the top N
         // (and under -u an equal key is a duplicate of the maximum).
         continue;
       }
-      auto it = set_.lower_bound(line);
+      auto it = set_.lower_bound(key);
       if (unique_ && it != set_.end() &&
-          spec_->compare(line, it->line) == 0) {
+          spec_->compare(key, it->keyed()) == 0) {
         // -u keeps the first occurrence of each key class, and sequence
         // numbers only grow, so the resident representative wins.
         continue;
       }
       bytes_ += line.size() + kPerEntryOverhead;
-      set_.emplace_hint(it, Entry{std::string(line), seq_});
+      set_.emplace_hint(it, Entry{std::string(line), key, seq_});
       if (set_.size() > limit_) {
         auto last = std::prev(set_.end());
         bytes_ -= last->line.size() + kPerEntryOverhead;
@@ -85,25 +86,26 @@ class TopNWindowProcessor final : public WindowProcessor {
  private:
   struct Entry {
     std::string line;
+    KeyedLine key;  // its view is stale: compare keyed()
     std::uint64_t seq;
+    KeyedLine keyed() const { return rebased(key, line); }
   };
-  // Strict weak order (spec order, then sequence). A string_view probe
-  // compares as sequence -inf: lower_bound(line) is the first entry with
-  // compare >= 0, which doubles as the -u duplicate check and the
-  // insertion hint.
+  // Strict weak order (spec order, then sequence). A keyed probe compares
+  // as sequence -inf: lower_bound(key) is the first entry with compare >=
+  // 0, which doubles as the -u duplicate check and the insertion hint.
   struct Cmp {
     using is_transparent = void;
     const SortSpec* spec;
     bool operator()(const Entry& a, const Entry& b) const {
-      int c = spec->compare(a.line, b.line);
+      int c = spec->compare(a.keyed(), b.keyed());
       if (c != 0) return c < 0;
       return a.seq < b.seq;
     }
-    bool operator()(std::string_view probe, const Entry& b) const {
-      return spec->compare(probe, b.line) <= 0;
+    bool operator()(const KeyedLine& probe, const Entry& b) const {
+      return spec->compare(probe, b.keyed()) <= 0;
     }
-    bool operator()(const Entry& a, std::string_view probe) const {
-      return spec->compare(a.line, probe) < 0;
+    bool operator()(const Entry& a, const KeyedLine& probe) const {
+      return spec->compare(a.keyed(), probe) < 0;
     }
   };
   // Rough allocator cost of a multiset node beyond the line's own bytes.
