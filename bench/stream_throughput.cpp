@@ -201,9 +201,10 @@ Measurement run_isolated(Body&& body) {
   return m;
 }
 
-Measurement run_streaming_file(const Compiled& compiled,
-                               const std::string& path, int k,
-                               kq::ExecOptions options) {
+// Streams the file through the facade from its fd, so source reads go
+// through the poll-driven kq::io engine the CLI uses.
+Measurement run_stream_file(const Compiled& compiled, const std::string& path,
+                            int k, kq::ExecOptions options) {
   Measurement m;
 #ifdef __GLIBC__
   // Pin the mmap threshold (the CLI streaming path does the same): glibc's
@@ -216,42 +217,6 @@ Measurement run_streaming_file(const Compiled& compiled,
   options.mode = kq::ExecMode::kStream;
   options.parallelism = k;
   kq::Executor executor(options);
-  std::ifstream in(path, std::ios::binary);
-  std::size_t out_bytes = 0;
-  stream::Sink sink = [&out_bytes](std::string_view bytes) {
-    out_bytes += bytes.size();  // count, don't retain: the bounded-RSS path
-    return true;
-  };
-  kq::ExecResult r = executor.run(compiled.stages, in, sink);
-  if (!r.ok) std::cerr << "streaming failed: " << r.error << "\n";
-  m.ok = r.ok;
-  std::size_t peak = peak_rss_bytes();
-  m.rss_growth = peak > baseline ? peak - baseline : 0;
-  m.seconds = r.seconds;
-  m.out_bytes = out_bytes;
-  m.peak_inflight = r.peak_inflight_bytes;
-  m.spilled = r.spilled_bytes;
-  m.bytes_read = r.bytes_read;
-  for (const stream::NodeMetrics& node : r.nodes)
-    m.spill_runs += static_cast<std::size_t>(node.spill_runs);
-  return m;
-}
-
-// The fd-source twin: drives the run from a real file descriptor so the
-// SOURCE read path routes through the kq::io engine — the istream adapter
-// used by run_streaming_file only exercises the engine on spill I/O. This
-// is the harness for the saturating-read scenario.
-Measurement run_streaming_fd_file(const Compiled& compiled,
-                                  const std::string& path, int k,
-                                  kq::ExecOptions options) {
-  Measurement m;
-#ifdef __GLIBC__
-  mallopt(M_MMAP_THRESHOLD, 128 << 10);
-#endif
-  std::size_t baseline = peak_rss_bytes();
-  options.mode = kq::ExecMode::kStream;
-  options.parallelism = k;
-  kq::Executor executor(options);
   int fd = ::open(path.c_str(), O_RDONLY);
   if (fd < 0) {
     std::cerr << "open " << path << " failed: " << std::strerror(errno)
@@ -260,8 +225,8 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
     return m;
   }
   std::size_t out_bytes = 0;
-  stream::Sink sink = [&out_bytes](std::string_view bytes) {
-    out_bytes += bytes.size();
+  kq::Sink sink = [&out_bytes](std::string_view bytes) {
+    out_bytes += bytes.size();  // count, don't retain: the bounded-RSS path
     return true;
   };
   kq::ExecResult r =
@@ -276,7 +241,7 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
   m.peak_inflight = r.peak_inflight_bytes;
   m.spilled = r.spilled_bytes;
   m.bytes_read = r.bytes_read;
-  for (const stream::NodeMetrics& node : r.nodes)
+  for (const kq::NodeMetrics& node : r.nodes)
     m.spill_runs += static_cast<std::size_t>(node.spill_runs);
   return m;
 }
@@ -284,17 +249,16 @@ Measurement run_streaming_fd_file(const Compiled& compiled,
 // The telemetry-overhead twin: same run with per-stage counters on (and
 // optionally a live tracer). The trace is discarded — only the wall-clock
 // cost of recording matters here.
-Measurement run_streaming_telemetry(const Compiled& compiled,
-                                    const std::string& path, int k,
-                                    kq::ExecOptions options,
-                                    bool with_trace) {
+Measurement run_stream_telemetry(const Compiled& compiled,
+                                 const std::string& path, int k,
+                                 kq::ExecOptions options, bool with_trace) {
   options.stats = true;
   std::unique_ptr<obs::Tracer> tracer;
   if (with_trace) {
     tracer = std::make_unique<obs::Tracer>();
     options.tracer = tracer.get();
   }
-  return run_streaming_file(compiled, path, k, options);
+  return run_stream_file(compiled, path, k, options);
 }
 
 Measurement run_batch_file(const Compiled& compiled, const std::string& path,
@@ -306,14 +270,23 @@ Measurement run_batch_file(const Compiled& compiled, const std::string& path,
   options.parallelism = k;
   kq::Executor executor(options);
   auto start = std::chrono::steady_clock::now();
-  std::ifstream in(path, std::ios::binary);
-  // The istream source is slurped inside the facade, so the measured wall
-  // time still covers reading the file — same span the old inline slurp
-  // + run_pipeline timed.
-  kq::ExecResult r = executor.run_collect(compiled.stages, in);
+  int fd = ::open(path.c_str(), O_RDONLY);
+  if (fd < 0) {
+    std::cerr << "open " << path << " failed: " << std::strerror(errno)
+              << "\n";
+    m.ok = false;
+    return m;
+  }
+  // The fd is slurped inside the facade, so the measured wall time covers
+  // reading the file as well as the staged run.
+  kq::ExecResult r =
+      executor.run_collect(compiled.stages, kq::Source::from_fd(fd));
   m.seconds = std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                             start)
                   .count();
+  ::close(fd);
+  if (!r.ok) std::cerr << "batch failed: " << r.error << "\n";
+  m.ok = r.ok;
   std::size_t peak = peak_rss_bytes();
   m.rss_growth = peak > baseline ? peak - baseline : 0;
   m.out_bytes = r.output.size();
@@ -445,7 +418,7 @@ int main(int argc, char** argv) {
               << " parallel, " << compiled.plan.eliminated()
               << " eliminated)\n";
     Measurement s = run_isolated(
-        [&] { return run_streaming_file(compiled, path, k, config); });
+        [&] { return run_stream_file(compiled, path, k, config); });
     std::cout << "  stream: " << s.seconds << " s, "
               << mib_per_s(input_bytes, s.seconds) << " MiB/s, RSS growth "
               << (s.rss_growth >> 20) << " MiB, peak in-flight "
@@ -501,13 +474,13 @@ int main(int argc, char** argv) {
 
     std::cout << "\nsequential streamable chain: " << kChain << "\n";
     Measurement chain_m = run_isolated(
-        [&] { return run_streaming_file(seq, path, 1, config); });
+        [&] { return run_stream_file(seq, path, 1, config); });
     std::cout << "  stream-chain: " << chain_m.seconds << " s, "
               << mib_per_s(input_bytes, chain_m.seconds)
               << " MiB/s, RSS growth " << (chain_m.rss_growth >> 20)
               << " MiB\n";
     Measurement mat_m = run_isolated(
-        [&] { return run_streaming_file(mat, path, 1, config); });
+        [&] { return run_stream_file(mat, path, 1, config); });
     std::cout << "  materialize:  " << mat_m.seconds << " s, "
               << mib_per_s(input_bytes, mat_m.seconds)
               << " MiB/s, RSS growth " << (mat_m.rss_growth >> 20)
@@ -558,9 +531,9 @@ int main(int argc, char** argv) {
       // Sequential lowering runs at k=1: size the channel/pool budgets for
       // one worker (a k=4 config would give these single-threaded nodes a
       // 10-block channel budget and mask the window's own footprint) —
-      // run_streaming_file resolves parallelism from its k argument.
+      // run_stream_file resolves parallelism from its k argument.
       Measurement w = run_isolated(
-          [&] { return run_streaming_file(win, path, 1, config); });
+          [&] { return run_stream_file(win, path, 1, config); });
       std::cout << "  window-stream: " << w.seconds << " s, "
                 << mib_per_s(input_bytes, w.seconds) << " MiB/s, RSS growth "
                 << (w.rss_growth >> 20) << " MiB (gate < 16 MiB)\n";
@@ -601,12 +574,12 @@ int main(int argc, char** argv) {
     const Compiled& compiled = compiled_pipelines[0];
     std::cout << "\ntelemetry overhead: " << kPipelines[0].cmd << "\n";
     Measurement off = run_isolated(
-        [&] { return run_streaming_file(compiled, path, k, config); });
+        [&] { return run_stream_file(compiled, path, k, config); });
     Measurement counted = run_isolated([&] {
-      return run_streaming_telemetry(compiled, path, k, config, false);
+      return run_stream_telemetry(compiled, path, k, config, false);
     });
     Measurement traced = run_isolated([&] {
-      return run_streaming_telemetry(compiled, path, k, config, true);
+      return run_stream_telemetry(compiled, path, k, config, true);
     });
     std::cout << "  off:      " << off.seconds << " s\n"
               << "  counters: " << counted.seconds << " s ("
@@ -643,9 +616,9 @@ int main(int argc, char** argv) {
     const Compiled& compiled = compiled_pipelines[0];
     std::cout << "\nparallel scaling: " << kPipelines[0].cmd << "\n";
     Measurement one = run_isolated(
-        [&] { return run_streaming_file(compiled, path, 1, config); });
+        [&] { return run_stream_file(compiled, path, 1, config); });
     Measurement four = run_isolated(
-        [&] { return run_streaming_file(compiled, path, 4, config); });
+        [&] { return run_stream_file(compiled, path, 4, config); });
     std::cout << "  k=1: " << one.seconds << " s, RSS growth "
               << (one.rss_growth >> 20) << " MiB\n"
               << "  k=4: " << four.seconds << " s, RSS growth "
@@ -685,7 +658,7 @@ int main(int argc, char** argv) {
   {
     Compiled head = compile_one("head -n 10", cache);
     Measurement h = run_isolated(
-        [&] { return run_streaming_file(head, path, k, config); });
+        [&] { return run_stream_file(head, path, k, config); });
     std::size_t read_budget = 4 * config.block_size + (1 << 20);
     std::cout << "\nearly exit: head -n 10 read " << (h.bytes_read >> 10)
               << " KiB of " << (input_bytes >> 20) << " MiB in " << h.seconds
@@ -699,14 +672,14 @@ int main(int argc, char** argv) {
     gate_records.push_back({"early-exit:head -n 10", h});
   }
 
-  // Saturating read: the folding pipeline driven from a real file
-  // descriptor. The fold's output is tiny and its per-record work is
-  // cheap, so the run is read-dominated; CI's baseline diff tracks it.
+  // Saturating read: the folding pipeline under its own gate record. The
+  // fold's output is tiny and its per-record work is cheap, so the run is
+  // dominated by the fd source's reads; CI's baseline diff tracks it.
   {
     std::cout << "\nsaturating read (fd source): " << kPipelines[1].cmd
               << "\n";
     Measurement fd_run = run_isolated([&] {
-      return run_streaming_fd_file(compiled_pipelines[1], path, k, config);
+      return run_stream_file(compiled_pipelines[1], path, k, config);
     });
     std::cout << "  " << fd_run.seconds << " s ("
               << mib_per_s(input_bytes, fd_run.seconds)

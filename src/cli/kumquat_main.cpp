@@ -250,7 +250,7 @@ void print_stream_stats(const kq::ExecResult& result) {
             << result.peak_inflight_bytes << " bytes in flight, read "
             << result.bytes_read << " input bytes\n";
   for (std::size_t i = 0; i < result.nodes.size(); ++i) {
-    const stream::NodeMetrics& n = result.nodes[i];
+    const NodeMetrics& n = result.nodes[i];
     std::cerr << "  [" << i << "] " << n.commands << "\n"
               << "      memory=" << n.memory
               << (n.parallel ? " parallel" : "")
@@ -280,7 +280,7 @@ void print_batch_stats(const kq::ExecResult& result) {
   std::cerr << "kumquat stats: " << result.nodes.size()
             << " stage(s), batch\n";
   for (std::size_t i = 0; i < result.nodes.size(); ++i) {
-    const stream::NodeMetrics& n = result.nodes[i];
+    const NodeMetrics& n = result.nodes[i];
     std::cerr << "  [" << i << "] " << n.commands << "\n"
               << "      " << (n.parallel ? "parallel" : "sequential")
               << (n.combiner_eliminated ? " (combiner eliminated)" : "")
@@ -366,15 +366,17 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
 #endif
     std::ios::sync_with_stdio(false);
   }
-  // Read stdin by fd, not istream: in stream mode the fd source is
-  // poll(2)-driven, so an early exit (a satisfied `head`) wakes a read
-  // blocked on an idle pipe promptly instead of at the next block
-  // boundary; in batch mode the facade slurps the fd whole.
-  std::size_t bytes_written = 0;
+  // Read stdin by fd: in stream mode the fd source is poll(2)-driven, so
+  // an early exit (a satisfied `head`) wakes a read blocked on an idle
+  // pipe promptly instead of at the next block boundary; in batch mode
+  // the facade slurps the fd whole.
+  std::string output_prefix;  // decides the final stage's exit status
   kq::ExecResult result = executor.run(
       compiled->stages, kq::Source::from_fd(STDIN_FILENO),
-      [&bytes_written](std::string_view bytes) {
-        bytes_written += bytes.size();
+      [&output_prefix](std::string_view bytes) {
+        if (output_prefix.size() < cmd::Command::kStatusPrefixBytes)
+          output_prefix.append(bytes.substr(
+              0, cmd::Command::kStatusPrefixBytes - output_prefix.size()));
         std::cout.write(bytes.data(),
                         static_cast<std::streamsize>(bytes.size()));
         return static_cast<bool>(std::cout);
@@ -383,7 +385,8 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   bool trace_ok = write_trace();
   if (!result.ok) {
     std::cerr << "kumquat: " << (streaming ? "streaming " : "") << "run failed: "
-              << result.error << (streaming ? " (rerun with --batch)" : "")
+              << result.error
+              << (result.combine_undefined ? " (rerun with --batch)" : "")
               << "\n";
     return 2;
   }
@@ -403,9 +406,8 @@ int cmd_run(const std::string& pipeline, int k, bool optimize, bool streaming,
   if (!trace_ok) return 2;
   // A shell pipeline exits with its last command's status: grep that
   // selected nothing makes the run exit 1.
-  if (bytes_written == 0 && !compiled->stages.empty())
-    return compiled->stages.back().command->empty_output_status();
-  return 0;
+  if (compiled->stages.empty()) return 0;
+  return compiled->stages.back().command->exit_status(output_prefix);
 }
 
 // Parses a one-byte record delimiter: a single character, or one of the
@@ -485,7 +487,8 @@ void usage() {
                "  (see docs/OBSERVABILITY.md).\n"
                "\n"
                "  run exits like the shell pipeline it models: with the last\n"
-               "  command's status (1 when a final grep selects nothing), or\n"
+               "  command's status (1 when a final grep selects nothing,\n"
+               "  also under -c), or\n"
                "  2 when the run fails (a coded diagnostic on stderr, e.g.\n"
                "  [KQ-REGEX] for a regex that ran out of its step budget).\n"
                "\n"

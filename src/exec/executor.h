@@ -1,12 +1,9 @@
-// The unified execution facade. One entry point — kq::Executor — replaces
-// the historical sprawl of exec::run_serial / exec::run_pipeline /
-// stream::run_streaming{,_fd,_string}: one options struct (ExecOptions,
-// merging RunConfig and StreamConfig), one input shape (Source: a
-// string_view, an istream, or a file descriptor), one result shape
-// (ExecResult, unifying RunResult/StreamResult and mapping batch
-// StageMetrics into stream NodeMetrics). The legacy free functions remain
-// for one PR as the facade's implementation layer and as test oracles; new
-// call sites go through the facade (CI's deprecation gate enforces it).
+// The execution facade and the only way to run a pipeline: one options
+// struct (ExecOptions), one input shape (Source: a string or a file
+// descriptor), one result shape (ExecResult; both in exec/exec_types.h).
+// Behind it sit the streaming dataflow (stream::run_dataflow), the staged
+// batch runner (exec::run_pipeline) and the serial reference
+// (exec::run_serial, also the tests' cross-validation oracle).
 //
 // Mode semantics:
 //   kStream (default) — the dataflow runtime: record-aligned blocks,
@@ -21,8 +18,7 @@
 // 16) — one worker per hardware thread, capped because the in-flight
 // memory budget and combine fan-in grow with k while the paper's scaling
 // (Table 5/6) flattens past 16. Both the CLI's --jobs/-k and every mode of
-// the facade resolve the same default, closing the historical
-// RunConfig=1 / StreamConfig=4 split.
+// the facade resolve the same default.
 #pragma once
 
 #include <cstddef>
@@ -32,93 +28,37 @@
 #include <string_view>
 #include <vector>
 
+#include "exec/exec_types.h"
 #include "exec/runner.h"
-#include "stream/dataflow.h"
+#include "exec/thread_pool.h"
 
 namespace kq {
-
-enum class ExecMode {
-  kSerial,
-  kBatch,
-  kStream,
-};
-
-inline const char* exec_mode_name(ExecMode m) {
-  switch (m) {
-    case ExecMode::kSerial: return "serial";
-    case ExecMode::kBatch: return "batch";
-    case ExecMode::kStream: return "stream";
-  }
-  return "?";
-}
 
 // The hardware-derived parallelism used when ExecOptions::parallelism is 0.
 int default_parallelism();
 
-// One knob set for every mode. Streaming-only fields (block_size,
-// max_inflight, spill_threshold, delimiter) are ignored by
-// kBatch/kSerial; parallelism and use_elimination apply to both executors.
-struct ExecOptions {
-  ExecMode mode = ExecMode::kStream;
-  // 0 = default_parallelism(). kSerial ignores it; kBatch and kStream
-  // receive the identical resolved value.
-  int parallelism = 0;
-  bool use_elimination = true;
-  std::size_t block_size = 1 << 20;
-  std::size_t max_inflight = 0;      // 0 derives 2 · parallelism + 2
-  char delimiter = '\n';
-  std::size_t spill_threshold = 64 << 20;
-  // Deterministic fault-injection seam (tests only): scripted failpoints
-  // every engine built for the run consults. Must outlive the run.
-  io::FaultPlan* fault_plan = nullptr;
-  bool stats = false;
-  obs::Tracer* tracer = nullptr;
-};
-
-// Where the input bytes come from. Small value type: the referenced
-// stream/buffer must outlive the run() call (the Executor never owns it).
+// Where the input bytes come from: an in-memory string or a file
+// descriptor. Small value type: the referenced bytes must outlive the
+// run() call, and the fd stays the caller's to close (the Executor never
+// owns either).
 class Source {
  public:
-  Source(std::string_view bytes) : kind_(Kind::kString), bytes_(bytes) {}
-  Source(const std::string& bytes)
-      : kind_(Kind::kString), bytes_(bytes) {}
-  Source(const char* bytes) : kind_(Kind::kString), bytes_(bytes) {}
-  Source(std::istream& in) : kind_(Kind::kIstream), in_(&in) {}
+  Source(std::string_view bytes) : bytes_(bytes) {}
+  Source(const std::string& bytes) : bytes_(bytes) {}
+  Source(const char* bytes) : bytes_(bytes) {}
   static Source from_fd(int fd) {
     Source s;
-    s.kind_ = Kind::kFd;
+    s.is_fd_ = true;
     s.fd_ = fd;
     return s;
   }
 
  private:
   friend class Executor;
-  enum class Kind { kString, kIstream, kFd };
   Source() = default;
-  Kind kind_ = Kind::kString;
+  bool is_fd_ = false;
   std::string_view bytes_;
-  std::istream* in_ = nullptr;
   int fd_ = -1;
-};
-
-// The one result shape. Stream runs fill the full telemetry; batch/serial
-// runs map their StageMetrics into `nodes` (one entry per stage: command,
-// combiner, chunks, bytes, elimination/fallback flags) and leave the
-// stream-only gauges zero.
-struct ExecResult {
-  bool ok = true;
-  std::string error;           // set when !ok
-  std::string output;          // run_collect only (sink overloads leave it
-                               // empty; batch/serial always collect)
-  double seconds = 0;
-  std::size_t peak_inflight_bytes = 0;  // stream: in-flight high-water mark
-  std::size_t spilled_bytes = 0;        // stream: total spilled to disk
-  std::size_t bytes_read = 0;           // stream: input bytes delivered
-  std::string io_backend = "poll";  // kept only because perfbench reads it
-  bool stopped_early = false;      // the sink returned false (ok stays true)
-  bool combine_undefined = false;  // !ok: a combiner bailed mid-fold
-  bool batch_fallback = false;     // stream-over-string reran via batch
-  std::vector<stream::NodeMetrics> nodes;
 };
 
 // The facade. Owns its worker pool (sized to the resolved parallelism,
@@ -133,29 +73,30 @@ class Executor {
   Executor(const Executor&) = delete;
   Executor& operator=(const Executor&) = delete;
 
-  // The options with parallelism/max_inflight defaults resolved.
+  // The options with the parallelism default resolved.
   const ExecOptions& options() const { return options_; }
 
   // Drains `input` through the pipeline into `sink` (streaming delivery;
-  // batch/serial modes invoke the sink once with the whole output).
+  // batch/serial modes, and stream mode over a string source, invoke the
+  // sink once with the whole output).
   ExecResult run(const std::vector<exec::ExecStage>& stages, Source input,
-                 const stream::Sink& sink);
+                 const Sink& sink);
 
   // Same, writing to an ostream.
   ExecResult run(const std::vector<exec::ExecStage>& stages, Source input,
                  std::ostream& output);
 
   // Collects the output into ExecResult::output. For a string source in
-  // stream mode this carries run_streaming_string's combine-fallback
-  // semantics: a mid-stream undefined combine reruns through the batch
-  // path (batch_fallback set) instead of failing.
+  // stream mode (whose input is still at hand) a mid-stream undefined
+  // combine reruns through the batch path (batch_fallback set) instead of
+  // failing; an fd source fails the run with combine_undefined set.
   ExecResult run_collect(const std::vector<exec::ExecStage>& stages,
                          Source input);
 
  private:
   exec::ThreadPool& pool();
   ExecResult run_stream(const std::vector<exec::ExecStage>& stages,
-                        Source input, const stream::Sink& sink,
+                        Source input, const Sink& sink,
                         std::string* collect);
   ExecResult run_whole(const std::vector<exec::ExecStage>& stages,
                        Source input);

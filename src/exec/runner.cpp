@@ -15,10 +15,10 @@ double seconds_since(Clock::time_point start) {
 
 }  // namespace
 
-RunResult run_pipeline(const std::vector<ExecStage>& stages,
-                       std::string_view input, ThreadPool& pool,
-                       const RunConfig& config) {
-  RunResult result;
+ExecResult run_pipeline(const std::vector<ExecStage>& stages,
+                        std::string_view input, ThreadPool& pool,
+                        const ExecOptions& options) {
+  ExecResult result;
   auto total_start = Clock::now();
 
   // The in-flight data is either one combined stream or a set of
@@ -29,10 +29,10 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
 
   for (std::size_t s = 0; s < stages.size(); ++s) {
     const ExecStage& stage = stages[s];
-    StageMetrics m;
-    m.command = stage.command->display_name();
+    NodeMetrics m;
+    m.commands = stage.command->display_name();
     m.combiner = stage.combiner_name;
-    m.parallel = stage.parallel && config.parallelism > 1;
+    m.parallel = stage.parallel && options.parallelism > 1;
     auto stage_start = Clock::now();
 
     if (!m.parallel) {
@@ -55,7 +55,7 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
         chunks.reserve(substreams.size());
         for (const std::string& part : substreams) chunks.push_back(part);
       } else {
-        chunks = split_stream(current, config.parallelism);
+        chunks = split_stream(current, options.parallelism);
       }
       m.in_bytes = 0;
       for (std::string_view c : chunks) m.in_bytes += c.size();
@@ -64,9 +64,9 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
       std::vector<std::string> outputs =
           map_chunks(*stage.command, chunks, pool);
 
-      bool can_eliminate = config.use_elimination &&
+      bool can_eliminate = options.use_elimination &&
                            stage.eliminate_combiner && s + 1 < stages.size() &&
-                           stages[s + 1].parallel && config.parallelism > 1;
+                           stages[s + 1].parallel && options.parallelism > 1;
       if (can_eliminate) {
         m.combiner_eliminated = true;
         m.out_bytes = 0;
@@ -92,7 +92,7 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
       }
     }
     m.seconds = seconds_since(stage_start);
-    result.stages.push_back(std::move(m));
+    result.nodes.push_back(std::move(m));
   }
 
   if (split_state) {
@@ -106,20 +106,21 @@ RunResult run_pipeline(const std::vector<ExecStage>& stages,
   return result;
 }
 
-RunResult run_serial(const std::vector<ExecStage>& stages,
-                     std::string_view input) {
-  RunResult result;
+ExecResult run_serial(const std::vector<ExecStage>& stages,
+                      std::string_view input) {
+  ExecResult result;
   auto total_start = Clock::now();
   std::string current(input);
   for (const ExecStage& stage : stages) {
-    StageMetrics m;
-    m.command = stage.command->display_name();
+    NodeMetrics m;
+    m.commands = stage.command->display_name();
+    m.chunks = 1;
     m.in_bytes = current.size();
     auto stage_start = Clock::now();
     current = stage.command->run(current);
     m.seconds = seconds_since(stage_start);
     m.out_bytes = current.size();
-    result.stages.push_back(std::move(m));
+    result.nodes.push_back(std::move(m));
   }
   result.output = std::move(current);
   result.seconds = seconds_since(total_start);

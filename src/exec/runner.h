@@ -10,6 +10,7 @@
 #include <string>
 #include <vector>
 
+#include "exec/exec_types.h"
 #include "exec/splitter.h"
 #include "exec/thread_pool.h"
 #include "unixcmd/command.h"
@@ -107,40 +108,17 @@ struct ExecStage {
   std::string combiner_name;       // for reports
 };
 
-struct StageMetrics {
-  std::string command;
-  std::string combiner;
-  double seconds = 0;
-  std::size_t in_bytes = 0;
-  std::size_t out_bytes = 0;
-  int chunks = 1;                 // substreams actually processed
-  bool parallel = false;
-  bool combiner_eliminated = false;
-  bool combine_fallback = false;  // combiner failed; reran serially
-};
+// The batch runtime behind kq::Executor's kBatch mode (the facade resolves
+// `options.parallelism` first; only parallelism and use_elimination are
+// read). One NodeMetrics row per stage. A failing stage throws (the facade
+// turns that into a failed ExecResult), as it does in run_serial.
+ExecResult run_pipeline(const std::vector<ExecStage>& stages,
+                        std::string_view input, ThreadPool& pool,
+                        const ExecOptions& options);
 
-struct RunConfig {
-  int parallelism = 1;
-  bool use_elimination = true;  // false = the paper's "unoptimized" mode
-};
-
-struct RunResult {
-  std::string output;
-  double seconds = 0;
-  std::vector<StageMetrics> stages;
-};
-
-// DEPRECATED entry points: new call sites should go through kq::Executor
-// (exec/executor.h; modes kBatch and kSerial). They remain for one PR as
-// the facade's implementation layer and as the crossval oracle (tests
-// compare every runtime against run_serial); CI's deprecation gate rejects
-// new uses in src/ and bench/ outside the wrapper TUs.
-RunResult run_pipeline(const std::vector<ExecStage>& stages,
-                       std::string_view input, ThreadPool& pool,
-                       const RunConfig& config);
-
-// Serial reference execution (every stage whole-stream, no parallelism).
-RunResult run_serial(const std::vector<ExecStage>& stages,
-                     std::string_view input);
+// Serial reference execution (every stage whole-stream, no parallelism):
+// kSerial's implementation and the tests' cross-validation oracle.
+ExecResult run_serial(const std::vector<ExecStage>& stages,
+                      std::string_view input);
 
 }  // namespace kq::exec

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <istream>
 
 #include "io/engine.h"
 #include "obs/trace.h"
@@ -13,37 +12,6 @@ namespace {
 BlockReaderOptions sanitize(BlockReaderOptions options) {
   options.block_size = std::max<std::size_t>(1, options.block_size);
   return options;
-}
-
-// Slice size for the istream source's cancellation checks: an istream read
-// cannot be interrupted, so instead of asking for a whole block at once
-// the source reads ≤4 KiB at a time and rechecks the cancel flag between
-// slices — a cancel mid-fill is noticed within one slice (at most a few
-// records) rather than at the next block boundary. Small enough for
-// prompt embedded cancellation, large enough that the per-slice virtual
-// call vanishes against the buffered stream read.
-constexpr std::size_t kCancelSliceBytes = 4096;
-
-BlockReader::ReadFn stream_source(std::istream& in, std::shared_ptr<int> error,
-                                  std::shared_ptr<std::atomic<bool>> cancel) {
-  return [&in, error = std::move(error),
-          cancel = std::move(cancel)](char* buf,
-                                      std::size_t n) -> std::size_t {
-    std::size_t total = 0;
-    while (total < n) {
-      if (cancel->load()) break;  // mid-fill stop: deliver what we have
-      std::size_t want = std::min(n - total, kCancelSliceBytes);
-      in.read(buf + total, static_cast<std::streamsize>(want));
-      if (in.bad()) {
-        *error = EIO;  // lost the stream, not just EOF
-        break;
-      }
-      std::size_t got = static_cast<std::size_t>(in.gcount());
-      total += got;
-      if (got < want) break;  // end of input
-    }
-    return total;
-  };
 }
 
 // The fd source hands each read to its I/O engine (src/io/engine.h), which
@@ -72,9 +40,6 @@ BlockReader::ReadFn engine_source(
 
 }  // namespace
 
-BlockReader::BlockReader(std::istream& in, BlockReaderOptions options)
-    : read_(stream_source(in, error_, cancel_)), options_(sanitize(options)) {}
-
 BlockReader::BlockReader(int fd, BlockReaderOptions options,
                          io::FaultPlan* faults)
     : read_(engine_source(fd, faults, error_, cancel_, idle_, time_waits_,
@@ -85,7 +50,7 @@ BlockReader::BlockReader(ReadFn read, BlockReaderOptions options)
     : read_(std::move(read)), options_(sanitize(options)) {}
 
 void BlockReader::fill() {
-  if (cancel_->load()) {  // callback sources: noticed between fills
+  if (cancel_->load()) {  // ReadFn sources: noticed between fills
     eof_ = true;
     return;
   }

@@ -1,11 +1,11 @@
 // Record-aligned block acquisition for the streaming runtime. A BlockReader
-// turns a byte source (std::istream, file descriptor, or arbitrary read
-// callback) into a sequence of blocks of roughly `block_size` bytes whose
-// boundaries always fall on record boundaries: every delivered block except
-// possibly the last ends with the record delimiter, so no record is ever
-// split across blocks and each block is itself a stream in the paper's
-// Definition 3.1 sense (the splitter contract of §2, generalized from
-// whole-input splitting to bounded incremental reads).
+// turns a byte source (a file descriptor or a read callback) into a
+// sequence of blocks of roughly `block_size` bytes whose boundaries always
+// fall on record boundaries: every delivered block except possibly the
+// last ends with the record delimiter, so no record is ever split across
+// blocks and each block is itself a stream in the paper's Definition 3.1
+// sense (the splitter contract of §2, generalized from whole-input
+// splitting to bounded incremental reads).
 //
 // The delimiter defaults to '\n' (the stream model's record terminator; see
 // src/prep/delimiters.* for how per-command delimiter alphabets are probed)
@@ -20,7 +20,6 @@
 #include <cstddef>
 #include <cstdint>
 #include <functional>
-#include <iosfwd>
 #include <memory>
 #include <optional>
 #include <string>
@@ -54,7 +53,6 @@ class BlockReader {
   // Reads up to `n` bytes into `buf`; returns the count, 0 at end of input.
   using ReadFn = std::function<std::size_t(char* buf, std::size_t n)>;
 
-  BlockReader(std::istream& in, BlockReaderOptions options = {});
   // The fd source reads through its own kq::io::Engine (src/io/engine.h),
   // which consults `faults` (a test-only seam; must outlive the reader)
   // before every read attempt.
@@ -68,9 +66,10 @@ class BlockReader {
   std::size_t bytes_delivered() const { return bytes_delivered_; }
   const BlockReaderOptions& options() const { return options_; }
 
-  // Nonzero errno-style code when the source failed mid-stream (read(2)
-  // error, istream badbit) — the stream delivered so far is a truncated
-  // prefix, not the whole input. 0 means clean end of input.
+  // Nonzero errno-style code when the source failed mid-stream (a read(2)
+  // error, or EMSGSIZE for an over-long record) — the stream delivered so
+  // far is a truncated prefix, not the whole input. 0 means clean end of
+  // input.
   int error() const { return *error_; }
 
   // Asks the reader to stop: the next fill ends the stream as a clean EOF
@@ -78,11 +77,8 @@ class BlockReader {
   // error). Safe to call from any thread. The fd source polls with a
   // short timeout between reads, so a reader blocked in a long read(2) on
   // an idle pipe wakes within ~one poll interval instead of at the next
-  // block boundary; the istream source reads each block in small slices
-  // and checks the flag per slice, so a cancel lands mid-fill after at
-  // most one slice (~a few records) instead of a whole block — an istream
-  // read itself cannot be interrupted portably, but it need never be asked
-  // for more than a slice. The raw callback source checks between fills.
+  // block boundary. A ReadFn source is checked between fills (the
+  // executor's string source never blocks, so a fill is one copy).
   void cancel() { cancel_->store(true); }
   bool cancelled() const { return cancel_->load(); }
 
@@ -111,8 +107,8 @@ class BlockReader {
   // Set by the fd source when a zero-timeout poll after a read finds no
   // more data immediately available (a pipe between bursts): next() then
   // flushes the complete records on hand instead of waiting for a full
-  // block. Always false for istream/callback sources, whose blocking
-  // reads only come up short at end of input.
+  // block. Always false for ReadFn sources, whose reads only come up
+  // short at end of input.
   std::shared_ptr<std::atomic<bool>> idle_ =
       std::make_shared<std::atomic<bool>>(false);
   // Wait-time accounting for the fd source (shared with its lambda, like

@@ -2,11 +2,8 @@
 
 #include <cerrno>
 #include <chrono>
-#include <istream>
 #include <map>
 #include <memory>
-#include <ostream>
-#include <sstream>
 #include <thread>
 
 #include "exec/parallel.h"
@@ -29,8 +26,8 @@ double seconds_since(Clock::time_point start) {
 }
 
 // Per-node telemetry handles, both optional: `counters` exists only when
-// StreamConfig::stats is on, `tracer` only under --trace-json. One
-// NodeTelemetry per segment lives in run_streaming_core for the whole run
+// ExecOptions::stats is on, `tracer` only under --trace-json. One
+// NodeTelemetry per segment lives in run_dataflow for the whole run
 // (pool tasks may hold pointers into it until wait_idle()). With both null
 // every instrumentation site below is a pointer test.
 struct NodeTelemetry {
@@ -69,7 +66,7 @@ struct Segment {
 // plan wanted parallelism and the config allows it). A plan-parallel stage
 // at k = 1 falls back to a sequential node, where declared streamability
 // is strictly better than the materialize drain.
-bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
+bool runs_parallel(const exec::ExecStage& stage, const ExecOptions& config) {
   return stage.parallel && config.parallelism > 1 && stage.combine != nullptr;
 }
 
@@ -78,7 +75,7 @@ bool runs_parallel(const exec::ExecStage& stage, const StreamConfig& config) {
 // line-based built-ins define records by '\n', so a custom delimiter keeps
 // the materialize path (same rule as the line-based spill paths).
 bool stream_chain_stage(const exec::ExecStage& stage,
-                        const StreamConfig& config) {
+                        const ExecOptions& config) {
   if (config.delimiter != '\n' || !stage.command) return false;
   const cmd::Streamability s = stage.command->streamability();
   if (s == cmd::Streamability::kNone || s == cmd::Streamability::kWindow)
@@ -91,7 +88,7 @@ bool stream_chain_stage(const exec::ExecStage& stage,
 // chain: declared kWindow and effectively sequential (the plan may still
 // parallelize a window command like wc through its synthesized combiner;
 // the window node only replaces the sequential materialize drain).
-bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
+bool window_stage(const exec::ExecStage& stage, const ExecOptions& config) {
   if (config.delimiter != '\n' || !stage.command) return false;
   if (stage.command->streamability() != cmd::Streamability::kWindow)
     return false;
@@ -100,7 +97,7 @@ bool window_stage(const exec::ExecStage& stage, const StreamConfig& config) {
 }
 
 std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
-                                    const StreamConfig& config) {
+                                    const ExecOptions& config) {
   std::vector<Segment> segments;
   const bool parallel_ok = config.parallelism > 1;
   std::size_t i = 0;
@@ -202,7 +199,7 @@ using Push = std::function<bool(std::string&&)>;
 // Re-blocks a combined stream for downstream consumption, cutting only at
 // record boundaries (records longer than a block travel whole).
 bool emit_blocks(std::string_view data, const Push& push,
-                 const StreamConfig& config) {
+                 const ExecOptions& config) {
   while (data.size() > config.block_size) {
     std::size_t cut = data.rfind(config.delimiter, config.block_size - 1);
     if (cut == std::string_view::npos) {
@@ -370,7 +367,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const std::function<bool()>& out_closed,
                    const std::function<void()>& cancel_upstream,
                    const NodeTelemetry& tele, Shared& shared,
-                   exec::ThreadPool& pool, const StreamConfig& config) {
+                   exec::ThreadPool& pool, const ExecOptions& config) {
   std::map<std::size_t, std::string> out_of_order;
   std::size_t next_emit = 0;
   std::string acc;
@@ -473,7 +470,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
         if (spillable_merge) {
           merger = std::make_unique<SpillMerger>(
               cstage.sort_spec, SpillMerger::Input::kSortedParts,
-              config.spill_threshold, &shared.gauge, config.faults);
+              config.spill_threshold, &shared.gauge, config.fault_plan);
           merger->set_telemetry(tele.tracer, tele.label);
           for (std::string& held : group) {
             if (!spill_part(std::move(held))) return false;
@@ -482,7 +479,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
           group_bytes = 0;
         } else if (spoolable_rerun) {
           spool = std::make_unique<RawSpool>(config.spill_threshold,
-                                             &shared.gauge, config.faults);
+                                             &shared.gauge, config.fault_plan);
           spool->set_telemetry(tele.tracer, tele.label);
           for (const std::string& held : group) {
             if (!spool_part(held)) return false;
@@ -628,7 +625,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
                     const std::function<bool()>& out_closed,
                     const std::function<void()>& cancel_upstream,
                     const NodeTelemetry& tele, Shared& shared,
-                    const StreamConfig& config) {
+                    const ExecOptions& config) {
   const exec::ExecStage& stage = *seg.chain.front();
   // A dead downstream makes the whole drain-and-execute pointless: poll the
   // output side while pulling so a closed sink stops a materialize stage
@@ -648,7 +645,8 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
 
   if (spec) {
     SpillMerger sorter(std::move(spec), SpillMerger::Input::kUnsortedBlocks,
-                       config.spill_threshold, &shared.gauge, config.faults);
+                       config.spill_threshold, &shared.gauge,
+                       config.fault_plan);
     sorter.set_telemetry(tele.tracer, tele.label);
     bool ok = true;
     while (auto piece = pull()) {
@@ -698,7 +696,7 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     return;
   }
 
-  RawSpool spool(config.spill_threshold, &shared.gauge, config.faults);
+  RawSpool spool(config.spill_threshold, &shared.gauge, config.fault_plan);
   spool.set_telemetry(tele.tracer, tele.label);
   bool ok = true;
   while (auto piece = pull()) {
@@ -761,7 +759,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                       const std::function<bool()>& out_closed,
                       const std::function<void()>& cancel_upstream,
                       const NodeTelemetry& tele, Shared& shared,
-                      const StreamConfig& config) {
+                      const ExecOptions& config) {
   // Pool-effectiveness counters, threaded into every acquire below (null
   // when stats are off — BufferPool then skips the bumps).
   std::atomic<std::uint64_t>* pool_hits =
@@ -823,7 +821,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     if (!merger) {
       merger = std::make_unique<SpillMerger>(
           wspec, SpillMerger::Input::kSortedParts, config.spill_threshold,
-          &shared.gauge, config.faults);
+          &shared.gauge, config.fault_plan);
       merger->set_telemetry(tele.tracer, tele.label);
     }
     if (!merger->add(std::move(run))) {
@@ -1018,7 +1016,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   close_out();
 }
 
-StreamConfig sanitize(StreamConfig config) {
+ExecOptions sanitize(ExecOptions config) {
   if (config.parallelism < 1) config.parallelism = 1;
   if (config.block_size == 0) config.block_size = 1;
   if (config.max_inflight == 0)
@@ -1028,10 +1026,10 @@ StreamConfig sanitize(StreamConfig config) {
 }
 
 // The memory class the runtime *actually* gives this node — mirrors the
-// dispatch in run_streaming_core/run_sequential rather than echoing the
+// dispatch in run_dataflow/run_sequential rather than echoing the
 // plan's label (a plan-sortable stage under a custom delimiter
 // materializes; a parallel segment's residency is its combiner's).
-const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
+const char* node_memory_label(const Segment& seg, const ExecOptions& config) {
   if (seg.window) return "window-stream";
   if (seg.stream) return "stateless-stream";
   if (seg.parallel)
@@ -1043,12 +1041,13 @@ const char* node_memory_label(const Segment& seg, const StreamConfig& config) {
   return "materialize";
 }
 
-StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
-                                BlockReader& reader, const Sink& sink,
-                                exec::ThreadPool& pool,
-                                const StreamConfig& raw_config) {
-  const StreamConfig config = sanitize(raw_config);
-  StreamResult result;
+}  // namespace
+
+ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
+                        BlockReader& reader, const Sink& sink,
+                        exec::ThreadPool& pool, const ExecOptions& options) {
+  const ExecOptions config = sanitize(options);
+  ExecResult result;
   auto start = Clock::now();
 
   auto read_error_message = [&config](int err) {
@@ -1361,80 +1360,6 @@ StreamResult run_streaming_core(const std::vector<exec::ExecStage>& stages,
     result.nodes[0].recv_blocked_ns += reader.wait_ns();
   }
   result.seconds = seconds_since(start);
-  return result;
-}
-
-// Shared by every entry point: a record that cannot even be buffered
-// within the spill budget fails loudly (EMSGSIZE) rather than growing
-// pending_ without bound.
-BlockReaderOptions reader_options(const StreamConfig& config) {
-  return {config.block_size == 0 ? 1 : config.block_size, config.delimiter,
-          config.spill_threshold};
-}
-
-Sink ostream_sink(std::ostream& output) {
-  return [&output](std::string_view bytes) {
-    output.write(bytes.data(), static_cast<std::streamsize>(bytes.size()));
-    return static_cast<bool>(output);
-  };
-}
-
-}  // namespace
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, const Sink& sink,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  BlockReader reader(input, reader_options(config));
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming(const std::vector<exec::ExecStage>& stages,
-                           std::istream& input, std::ostream& output,
-                           exec::ThreadPool& pool,
-                           const StreamConfig& config) {
-  return run_streaming(stages, input, ostream_sink(output), pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, const Sink& sink,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  // The fault seam reaches the source path, not just spills.
-  BlockReader reader(input_fd, reader_options(config), config.faults);
-  return run_streaming_core(stages, reader, sink, pool, config);
-}
-
-StreamResult run_streaming_fd(const std::vector<exec::ExecStage>& stages,
-                              int input_fd, std::ostream& output,
-                              exec::ThreadPool& pool,
-                              const StreamConfig& config) {
-  return run_streaming_fd(stages, input_fd, ostream_sink(output), pool,
-                          config);
-}
-
-StreamResult run_streaming_string(const std::vector<exec::ExecStage>& stages,
-                                  std::string_view input, std::string* output,
-                                  exec::ThreadPool& pool,
-                                  const StreamConfig& config) {
-  std::istringstream in{std::string(input)};
-  std::string collected;
-  Sink sink = [&collected](std::string_view bytes) {
-    collected.append(bytes);
-    return true;
-  };
-  StreamResult result = run_streaming(stages, in, sink, pool, config);
-  if (!result.ok && result.combine_undefined) {
-    // The batch runner's combine-fallback guard: incremental combination
-    // proved undefined on these chunk outputs, so rerun in memory where the
-    // original input is still available. Other failures propagate as !ok.
-    exec::RunConfig batch{config.parallelism, config.use_elimination};
-    exec::RunResult rerun = exec::run_pipeline(stages, input, pool, batch);
-    collected = std::move(rerun.output);
-    result.ok = true;
-    result.batch_fallback = true;
-  }
-  *output = std::move(collected);
   return result;
 }
 

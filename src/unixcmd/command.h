@@ -226,11 +226,16 @@ class Command {
   // those observations is wrong exactly on the inputs too big to probe.
   virtual std::optional<long> scale_bound() const { return std::nullopt; }
 
-  // The exit status this command reports when its whole output is empty.
-  // A pipeline's status is its last command's, but the runtimes only see
-  // output, so `kumquat run` derives it from the final stage's output: 0,
-  // or this when nothing was written (grep selected no line: 1).
-  virtual int empty_output_status() const { return 0; }
+  // The exit status this command reports for its whole output, given the
+  // output's first min(size, kStatusPrefixBytes) bytes. A pipeline's status
+  // is its last command's, but the runtimes only see output, so `kumquat
+  // run` derives it from the final stage's output: 0 unless the command
+  // says otherwise (grep that selected no line: 1, whether it printed
+  // nothing or, under -c, a count of 0).
+  static constexpr std::size_t kStatusPrefixBytes = 64;
+  virtual int exit_status(std::string_view /*output_prefix*/) const {
+    return 0;
+  }
 
   // A fresh per-stream processor for a streamable command (the instance
   // must outlive the processor). Null for kNone and kWindow commands.

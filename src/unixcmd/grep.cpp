@@ -113,9 +113,13 @@ class GrepCommand final : public Command {
   }
   std::unique_ptr<StreamProcessor> stream_processor() const override;
 
-  // grep exits 1 when it selects nothing, which without -c is exactly when
-  // its output is empty.
-  int empty_output_status() const override { return count_ ? 0 : 1; }
+  // grep exits 1 when it selects nothing: without -c exactly when its
+  // output is empty, with -c when the one count it prints is 0.
+  int exit_status(std::string_view output_prefix) const override {
+    const bool selected =
+        count_ ? output_prefix != "0\n" : !output_prefix.empty();
+    return selected ? 0 : 1;
+  }
 
  private:
   static std::size_t count_lines(std::string_view s) {

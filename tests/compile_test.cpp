@@ -8,6 +8,7 @@
 #include "compile/optimize.h"
 #include "compile/pipeline.h"
 #include "compile/plan.h"
+#include "exec/executor.h"
 
 namespace kq::compile {
 namespace {
@@ -149,14 +150,17 @@ TEST_P(PipelineEquivalence, ParallelMatchesSerial) {
   auto stages = lower_plan(plan);
 
   std::string input = gutenberg_sample();
-  exec::RunResult serial = exec::run_serial(stages, input);
-  exec::ThreadPool pool(4);
+  ExecResult serial = exec::run_serial(stages, input);
   for (int k : {2, 3, 5}) {
-    exec::RunResult unopt =
-        exec::run_pipeline(stages, input, pool, {k, false});
+    ExecOptions options;
+    options.mode = ExecMode::kBatch;
+    options.parallelism = k;
+    options.use_elimination = false;
+    ExecResult unopt = Executor(options).run_collect(stages, input);
     EXPECT_EQ(unopt.output, serial.output)
         << script << " (unoptimized, k=" << k << ")";
-    exec::RunResult opt = exec::run_pipeline(stages, input, pool, {k, true});
+    options.use_elimination = true;
+    ExecResult opt = Executor(options).run_collect(stages, input);
     EXPECT_EQ(opt.output, serial.output)
         << script << " (optimized, k=" << k << ")";
   }

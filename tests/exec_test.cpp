@@ -8,6 +8,7 @@
 #include <numeric>
 
 #include "dsl/kway.h"
+#include "exec/executor.h"
 #include "exec/parallel.h"
 #include "exec/runner.h"
 #include "exec/splitter.h"
@@ -176,28 +177,37 @@ std::string sample_words() {
   return input;
 }
 
+// The staged batch runtime through the facade, at parallelism k.
+ExecResult run_batch(const std::vector<ExecStage>& stages,
+                     std::string_view input, int k, bool use_elimination) {
+  ExecOptions options;
+  options.mode = ExecMode::kBatch;
+  options.parallelism = k;
+  options.use_elimination = use_elimination;
+  return Executor(options).run_collect(stages, input);
+}
+
 TEST(Runner, SerialMatchesDirectComposition) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
+  ExecResult serial = run_serial(stages, input);
   std::string expect = input;
   for (const auto& s : stages) expect = s.command->run(expect);
   EXPECT_EQ(serial.output, expect);
-  EXPECT_EQ(serial.stages.size(), 3u);
+  EXPECT_EQ(serial.nodes.size(), 3u);
 }
 
 TEST(Runner, ParallelUnoptimizedMatchesSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(4);
+  ExecResult serial = run_serial(stages, input);
   for (int k : {2, 3, 8}) {
-    RunConfig config{k, /*use_elimination=*/false};
-    RunResult parallel = run_pipeline(stages, input, pool, config);
+    ExecResult parallel =
+        run_batch(stages, input, k, /*use_elimination=*/false);
     EXPECT_EQ(parallel.output, serial.output) << "k=" << k;
-    for (const auto& m : parallel.stages) {
+    for (const auto& m : parallel.nodes) {
       EXPECT_FALSE(m.combiner_eliminated);
-      EXPECT_FALSE(m.combine_fallback) << m.command;
+      EXPECT_FALSE(m.combine_fallback) << m.commands;
     }
   }
 }
@@ -205,13 +215,11 @@ TEST(Runner, ParallelUnoptimizedMatchesSerial) {
 TEST(Runner, ParallelOptimizedMatchesSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(4);
-  RunConfig config{4, /*use_elimination=*/true};
-  RunResult parallel = run_pipeline(stages, input, pool, config);
+  ExecResult serial = run_serial(stages, input);
+  ExecResult parallel = run_batch(stages, input, 4, /*use_elimination=*/true);
   EXPECT_EQ(parallel.output, serial.output);
-  EXPECT_TRUE(parallel.stages[0].combiner_eliminated);
-  EXPECT_FALSE(parallel.stages[1].combiner_eliminated);
+  EXPECT_TRUE(parallel.nodes[0].combiner_eliminated);
+  EXPECT_FALSE(parallel.nodes[1].combiner_eliminated);
 }
 
 TEST(Runner, SequentialStageAfterEliminatedConcat) {
@@ -220,9 +228,8 @@ TEST(Runner, SequentialStageAfterEliminatedConcat) {
   auto stages = word_count_stages();
   stages[1].parallel = false;  // force sort sequential
   std::string input = sample_words();
-  RunResult serial = run_serial(stages, input);
-  ThreadPool pool(2);
-  RunResult parallel = run_pipeline(stages, input, pool, {4, true});
+  ExecResult serial = run_serial(stages, input);
+  ExecResult parallel = run_batch(stages, input, 4, true);
   EXPECT_EQ(parallel.output, serial.output);
 }
 
@@ -235,30 +242,27 @@ TEST(Runner, CombineFailureFallsBackToSerial) {
   s.combine = [](const std::vector<std::string>&)
       -> std::optional<std::string> { return std::nullopt; };
   stages.push_back(std::move(s));
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, "ab\ncd\nef\ngh\n", pool, {2, true});
+  ExecResult r = run_batch(stages, "ab\ncd\nef\ngh\n", 2, true);
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
-  EXPECT_TRUE(r.stages[0].combine_fallback);
+  EXPECT_TRUE(r.nodes[0].combine_fallback);
 }
 
 TEST(Runner, ParallelismOneIsSerial) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, input, pool, {1, true});
+  ExecResult r = run_batch(stages, input, 1, true);
   EXPECT_EQ(r.output, run_serial(stages, input).output);
-  for (const auto& m : r.stages) EXPECT_FALSE(m.parallel);
+  for (const auto& m : r.nodes) EXPECT_FALSE(m.parallel);
 }
 
 TEST(Runner, MetricsAccounting) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  ThreadPool pool(2);
-  RunResult r = run_pipeline(stages, input, pool, {2, true});
-  ASSERT_EQ(r.stages.size(), 3u);
-  EXPECT_EQ(r.stages[0].in_bytes, input.size());
-  EXPECT_GT(r.stages[2].out_bytes, 0u);
-  EXPECT_EQ(r.stages[0].chunks, 2);
+  ExecResult r = run_batch(stages, input, 2, true);
+  ASSERT_EQ(r.nodes.size(), 3u);
+  EXPECT_EQ(r.nodes[0].in_bytes, input.size());
+  EXPECT_GT(r.nodes[2].out_bytes, 0u);
+  EXPECT_EQ(r.nodes[0].chunks, 2);
 }
 
 }  // namespace

@@ -1,13 +1,14 @@
 // Tests for the kq::Executor facade (exec/executor.h): every mode
-// (serial / batch / stream) over every source shape (string / istream /
-// fd) must produce byte-identical output, options must resolve the unified
-// parallelism default, and the string-source stream path must carry
-// run_streaming_string's combine-fallback semantics.
+// (serial / batch / stream) over both source shapes (string / fd) must
+// produce byte-identical output, options must resolve the unified
+// parallelism default, and the string-source stream path must rerun an
+// undefined combine through the batch runtime.
 
 #include <gtest/gtest.h>
 
 #include <unistd.h>
 
+#include <cctype>
 #include <cstdio>
 #include <optional>
 #include <sstream>
@@ -82,16 +83,15 @@ TEST(Executor, AllModesAllSourcesByteIdentical) {
                                 << from_string.error;
     EXPECT_EQ(from_string.output, golden) << exec_mode_name(mode);
 
-    // istream source through the sink overload.
-    std::istringstream in(input);
+    // String source through the sink overload.
     std::string sunk;
-    kq::ExecResult from_stream = executor.run(
-        stages, in, [&sunk](std::string_view bytes) {
+    kq::ExecResult to_sink = executor.run(
+        stages, input, [&sunk](std::string_view bytes) {
           sunk.append(bytes);
           return true;
         });
-    ASSERT_TRUE(from_stream.ok) << exec_mode_name(mode) << ": "
-                                << from_stream.error;
+    ASSERT_TRUE(to_sink.ok) << exec_mode_name(mode) << ": "
+                            << to_sink.error;
     EXPECT_EQ(sunk, golden) << exec_mode_name(mode);
 
     // fd source through the ostream overload.
@@ -120,7 +120,7 @@ TEST(Executor, StreamModeReportsStreamTelemetry) {
   EXPECT_FALSE(r.nodes.empty());
 }
 
-TEST(Executor, BatchModeMapsStageMetricsIntoNodes) {
+TEST(Executor, BatchModeReportsOneNodePerStage) {
   auto stages = compile_stages("tr a-z A-Z | wc -l");
   ExecOptions options;
   options.mode = ExecMode::kBatch;
@@ -141,11 +141,16 @@ TEST(Executor, SinkFalseStopsEarly) {
   options.parallelism = 2;
   options.block_size = 512;
   Executor executor(options);
-  std::istringstream in(sample_input());
+  // The fd source delivers block by block (a string source hands its
+  // buffered output over once).
+  FILE* keepalive = nullptr;
+  int fd = fd_with(sample_input(), &keepalive);
   int deliveries = 0;
-  kq::ExecResult r = executor.run(stages, in, [&](std::string_view) {
-    return ++deliveries < 2;  // close after the second delivery
-  });
+  kq::ExecResult r =
+      executor.run(stages, Source::from_fd(fd), [&](std::string_view) {
+        return ++deliveries < 2;  // close after the second delivery
+      });
+  fclose(keepalive);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.stopped_early);
 }
@@ -173,39 +178,73 @@ TEST(Executor, StringSourceStreamFallsBackToBatchOnUndefinedCombine) {
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
 }
 
-TEST(Executor, MatchesLegacyEntrypointsStageForStage) {
-  // Facade-vs-wrapper parity: the deprecated free functions and the facade
-  // must agree byte-for-byte while both exist.
-  auto stages = compile_stages("tr A-Z a-z | sort | uniq -c");
+TEST(Executor, StringSourceFallbackFailureFailsTheRun) {
+  // The batch rerun of an undefined combine can fail as well (here the
+  // rerun's whole-input run is the one input the command rejects): the run
+  // must then fail with the stage's diagnostic and no output, not throw.
+  std::vector<exec::ExecStage> stages;
+  exec::ExecStage s;
+  s.command = cmd::make_lambda_command("upper", [](std::string_view in) {
+    if (in.size() > 12) throw cmd::CommandFailure("[KQ-TEST] input too long");
+    std::string out(in);
+    for (char& c : out) c = static_cast<char>(std::toupper(c));
+    return out;
+  });
+  s.parallel = true;
+  s.combiner_name = "(broken)";
+  s.combine = [](const std::vector<std::string>&)
+      -> std::optional<std::string> { return std::nullopt; };
+  stages.push_back(std::move(s));
+
+  ExecOptions options;
+  options.parallelism = 2;
+  options.block_size = 4;
+  // Stream slices and the two batch chunks stay within 12 bytes; only the
+  // rerun's whole 24-byte input is rejected.
+  ExecResult r = Executor(options).run_collect(
+      stages, "ab\ncd\nef\ngh\nij\nkl\nmn\nop\n");
+  EXPECT_FALSE(r.ok);
+  EXPECT_NE(r.error.find("[KQ-TEST]"), std::string::npos) << r.error;
+  EXPECT_EQ(r.output, "");
+}
+
+TEST(Executor, FinalGrepSelectingNothingExitsOne) {
+  // `kumquat run` exits with the final stage's status, decided from the
+  // start of its output: GNU grep exits 1 when it selects no line, also
+  // under -c, where it still prints the count 0.
   const std::string input = sample_input();
-
-  exec::RunResult serial = exec::run_serial(stages, input);
-  ExecOptions serial_options;
-  serial_options.mode = ExecMode::kSerial;
-  EXPECT_EQ(Executor(serial_options).run_collect(stages, input).output,
-            serial.output);
-
-  exec::ThreadPool pool(4);
-  exec::RunResult batch =
-      exec::run_pipeline(stages, input, pool, {4, /*use_elimination=*/true});
-  ExecOptions batch_options;
-  batch_options.mode = ExecMode::kBatch;
-  batch_options.parallelism = 4;
-  EXPECT_EQ(Executor(batch_options).run_collect(stages, input).output,
-            batch.output);
-
-  stream::StreamConfig config;
-  config.parallelism = 4;
-  config.block_size = 2048;
-  std::string streamed;
-  stream::StreamResult sr =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
-  ASSERT_TRUE(sr.ok) << sr.error;
-  ExecOptions stream_opts;
-  stream_opts.parallelism = 4;
-  stream_opts.block_size = 2048;
-  EXPECT_EQ(Executor(stream_opts).run_collect(stages, input).output,
-            streamed);
+  struct Leg {
+    const char* pipeline;
+    const char* output;  // nullptr: any non-empty output
+    int status;
+  };
+  const Leg legs[] = {{"grep -c y", "0\n", 1},
+                      {"grep -c alpha", "1500\n", 0},
+                      {"grep y", "", 1},
+                      {"grep alpha", nullptr, 0},
+                      {"wc -l", "1500\n", 0}};
+  for (int k : {1, 4}) {
+    for (const Leg& leg : legs) {
+      auto stages = compile_stages(leg.pipeline);
+      ExecOptions options;
+      options.parallelism = k;
+      options.block_size = 1024;  // many chunks at k = 4
+      ExecResult r = Executor(options).run_collect(stages, input);
+      std::string where = leg.pipeline;
+      where += " k=";
+      where += std::to_string(k);
+      ASSERT_TRUE(r.ok) << where << ": " << r.error;
+      if (leg.output) {
+        EXPECT_EQ(r.output, leg.output) << where;
+      } else {
+        EXPECT_FALSE(r.output.empty()) << where;
+      }
+      const std::string prefix =
+          r.output.substr(0, cmd::Command::kStatusPrefixBytes);
+      EXPECT_EQ(stages.back().command->exit_status(prefix), leg.status)
+          << where;
+    }
+  }
 }
 
 TEST(Executor, CommandFailureFailsTheRunInEveryMode) {

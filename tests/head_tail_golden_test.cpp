@@ -18,10 +18,8 @@
 #include <limits>
 
 #include "compile/plan.h"
-#include "exec/runner.h"
-#include "exec/thread_pool.h"
+#include "exec/executor.h"
 #include "prep/literals.h"
-#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -58,21 +56,18 @@ TEST_P(HeadTailGolden, BatchStreamAndSpillAgree) {
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
-  exec::ThreadPool pool(2);
   EXPECT_EQ(exec::run_serial(stages, c.input).output, c.expected)
       << c.command << " (serial)";
 
   for (std::size_t spill : {std::size_t(64) << 20, std::size_t(1)}) {
     for (std::size_t block : {std::size_t(4), std::size_t(1) << 20}) {
-      stream::StreamConfig config;
-      config.parallelism = 2;
-      config.block_size = block;
-      config.spill_threshold = spill;
-      std::string output;
-      stream::StreamResult r = stream::run_streaming_string(
-          stages, c.input, &output, pool, config);
+      ExecOptions options;
+      options.parallelism = 2;
+      options.block_size = block;
+      options.spill_threshold = spill;
+      ExecResult r = Executor(options).run_collect(stages, c.input);
       ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
-      EXPECT_EQ(output, c.expected)
+      EXPECT_EQ(r.output, c.expected)
           << c.command << " (stream, block=" << block << ", spill=" << spill
           << ")";
     }
@@ -228,8 +223,10 @@ TEST(ProbeCoverageGuard, BatchHugeTailMatchesDirectExecution) {
   ASSERT_TRUE(parsed.has_value());
   compile::Plan plan = compile::compile_pipeline(*parsed, cache);
   auto stages = compile::lower_plan(plan);
-  exec::ThreadPool pool(4);
-  std::string out = exec::run_pipeline(stages, input, pool, {4, true}).output;
+  ExecOptions options;
+  options.mode = ExecMode::kBatch;
+  options.parallelism = 4;
+  std::string out = Executor(options).run_collect(stages, input).output;
   EXPECT_EQ(out, stages[0].command->run(input));
 }
 

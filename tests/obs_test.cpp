@@ -9,6 +9,7 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <cstdio>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -16,11 +17,9 @@
 
 #include "compile/optimize.h"
 #include "compile/plan.h"
-#include "exec/runner.h"
-#include "exec/thread_pool.h"
+#include "exec/executor.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
-#include "stream/dataflow.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -134,18 +133,15 @@ TEST(Counters, StreamChainMatchesGolden) {
   const std::string input = mixed_lines(3000);
   const std::string golden = exec::run_serial(stages, input).output;
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
-  const stream::NodeMetrics& node = r.nodes[0];
+  const NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "stateless-stream");
   EXPECT_EQ(node.in_bytes, input.size());
   EXPECT_EQ(node.records_in, obs::count_records(input, '\n'));
@@ -165,19 +161,16 @@ TEST(Counters, ForcedSpillSortMatchesGolden) {
     input += "Key" + std::to_string(i) + "\n";
   const std::string golden = exec::run_serial(stages, input).output;
 
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 2048;
   config.spill_threshold = 8192;  // force sorted runs onto disk
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
-  const stream::NodeMetrics& node = r.nodes[0];
+  const NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "sortable-spill");
   EXPECT_EQ(node.in_bytes, input.size());
   EXPECT_EQ(node.records_in, obs::count_records(input, '\n'));
@@ -198,18 +191,15 @@ TEST(Counters, WindowStageMatchesGolden) {
   const std::string input = mixed_lines(5000);
   const std::string golden = exec::run_serial(stages, input).output;
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 256;
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
-  const stream::NodeMetrics& node = r.nodes[0];
+  const NodeMetrics& node = r.nodes[0];
   EXPECT_EQ(node.memory, "window-stream");
   EXPECT_EQ(node.in_bytes, input.size());
   EXPECT_EQ(node.records_in, obs::count_records(input, '\n'));
@@ -233,16 +223,13 @@ TEST(Counters, RewrittenTopNMatchesGolden) {
   }
   const std::string golden = exec::run_serial(stages, input).output;
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, golden);
+  EXPECT_EQ(r.output, golden);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(r.nodes[0].memory, "window-stream");
   EXPECT_EQ(r.nodes[0].records_in, obs::count_records(input, '\n'));
@@ -256,13 +243,10 @@ TEST(Counters, StatsOffLeavesMetricsZero) {
   auto stages = stages_for("grep a | tr a-z A-Z", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(500);
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   // in_bytes/out_bytes predate the telemetry layer and stay on; the
@@ -304,21 +288,27 @@ TEST(Counters, SendBlockedTimeAccruesAgainstSlowConsumer) {
     stages.push_back(std::move(s));
   }
   const std::string input = mixed_lines(2000);
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 256;  // ~140 blocks
   config.max_inflight = 2;
   config.stats = true;
-  std::istringstream in(input);
+  // An fd source: its output reaches the slow sink block by block (a
+  // string source hands over its buffered output once).
+  FILE* keepalive = std::tmpfile();
+  ASSERT_NE(keepalive, nullptr);
+  fwrite(input.data(), 1, input.size(), keepalive);
+  fflush(keepalive);
+  rewind(keepalive);
   std::string output;
-  stream::Sink sink = [&output](std::string_view bytes) {
+  Sink sink = [&output](std::string_view bytes) {
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     output.append(bytes);
     return true;
   };
-  stream::StreamResult r =
-      stream::run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(config).run(
+      stages, Source::from_fd(fileno(keepalive)), sink);
+  fclose(keepalive);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(output, exec::run_serial(stages, input).output);
@@ -331,16 +321,13 @@ TEST(Counters, PrefixEarlyExitCauseAttributed) {
   auto stages = stages_for("head -n 3", /*rewrite=*/false,
                            /*force_sequential=*/true);
   const std::string input = mixed_lines(100000);  // ~1.5 MB
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 4096;
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_EQ(r.nodes[0].early_exit, "prefix-satisfied");
   EXPECT_LT(r.bytes_read, input.size() / 4);
@@ -353,36 +340,34 @@ TEST(Counters, DownstreamClosedCauseAttributed) {
                            /*rewrite=*/false, /*force_sequential=*/true);
   ASSERT_EQ(stages.size(), 2u);
   const std::string input = mixed_lines(20000);
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 256;
   config.stats = true;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(r.nodes[0].early_exit, "downstream-closed");
 }
 
 // -------------------------------------------------- batch-mode metrics --
 
-TEST(Counters, BatchStageMetricsReconcile) {
+TEST(Counters, BatchNodeBytesReconcile) {
   // The batch runner's per-stage byte accounting (surfaced by
   // `kumquat run --batch --stats`) must chain: each stage's output bytes
   // are the next stage's input bytes, ends anchored at the real sizes.
   auto stages = stages_for("tr A-Z a-z | sort | uniq -c");
   const std::string input = mixed_lines(2000);
-  exec::ThreadPool pool(4);
-  exec::RunConfig config{4, /*use_elimination=*/true};
-  exec::RunResult result = exec::run_pipeline(stages, input, pool, config);
-  ASSERT_EQ(result.stages.size(), stages.size());
-  EXPECT_EQ(result.stages.front().in_bytes, input.size());
-  EXPECT_EQ(result.stages.back().out_bytes, result.output.size());
-  for (std::size_t i = 0; i + 1 < result.stages.size(); ++i)
-    EXPECT_EQ(result.stages[i].out_bytes, result.stages[i + 1].in_bytes)
+  ExecOptions config;
+  config.mode = ExecMode::kBatch;
+  config.parallelism = 4;
+  ExecResult result = Executor(config).run_collect(stages, input);
+  ASSERT_EQ(result.nodes.size(), stages.size());
+  EXPECT_EQ(result.nodes.front().in_bytes, input.size());
+  EXPECT_EQ(result.nodes.back().out_bytes, result.output.size());
+  for (std::size_t i = 0; i + 1 < result.nodes.size(); ++i)
+    EXPECT_EQ(result.nodes[i].out_bytes, result.nodes[i + 1].in_bytes)
         << "stage " << i;
 }
 
@@ -395,19 +380,16 @@ TEST(Tracer, StreamingRunEmitsTaxonomySpans) {
   auto stages = stages_for("tr A-Z a-z | sort");
   std::string input;
   for (int i = 8000; i > 0; --i) input += "Key" + std::to_string(i) + "\n";
-  exec::ThreadPool pool(4);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 2048;
   config.spill_threshold = 8192;
   config.stats = true;
   obs::Tracer tracer;
   config.tracer = &tracer;
-  std::string output;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   EXPECT_GT(tracer.event_count(), 0u);
   std::ostringstream out;
   tracer.write_chrome_json(out);

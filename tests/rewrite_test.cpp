@@ -17,9 +17,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
-#include "exec/runner.h"
-#include "exec/thread_pool.h"
-#include "stream/dataflow.h"
+#include "exec/executor.h"
 #include "unixcmd/registry.h"
 
 namespace kq {
@@ -130,6 +128,15 @@ std::string random_lines(std::uint64_t seed, int n, int distinct,
   return out;
 }
 
+// The staged batch runtime's output at parallelism k.
+std::string batch_output(const std::vector<exec::ExecStage>& stages,
+                         const std::string& input, int k) {
+  ExecOptions options;
+  options.mode = ExecMode::kBatch;
+  options.parallelism = k;
+  return Executor(options).run_collect(stages, input).output;
+}
+
 // Runs `pipeline` rewritten — batch, serial, and streamed at several
 // block/spill configurations — and expects every output byte-identical to
 // the unrewritten batch plan.
@@ -137,16 +144,13 @@ void expect_rewrite_identity(const std::string& pipeline,
                              const std::string& input) {
   compile::Plan baseline = plan_for(pipeline, /*rewrite=*/false);
   auto baseline_stages = compile::lower_plan(baseline);
-  exec::ThreadPool pool(4);
-  std::string expected =
-      exec::run_pipeline(baseline_stages, input, pool, {4, true}).output;
+  std::string expected = batch_output(baseline_stages, input, 4);
 
   compile::Plan rewritten = plan_for(pipeline, /*rewrite=*/true);
   EXPECT_LT(rewritten.stages.size(), baseline.stages.size()) << pipeline;
   auto stages = compile::lower_plan(rewritten);
 
-  EXPECT_EQ(exec::run_pipeline(stages, input, pool, {4, true}).output,
-            expected)
+  EXPECT_EQ(batch_output(stages, input, 4), expected)
       << pipeline << " (batch, rewritten)";
   EXPECT_EQ(exec::run_serial(stages, input).output, expected)
       << pipeline << " (serial, rewritten)";
@@ -156,16 +160,14 @@ void expect_rewrite_identity(const std::string& pipeline,
   };
   for (Cfg cfg : {Cfg{64, 64 << 20}, Cfg{1 << 20, 64 << 20},
                   Cfg{512, 1 << 10}}) {
-    stream::StreamConfig config;
+    ExecOptions config;
     config.parallelism = 4;
     config.block_size = cfg.block;
     config.spill_threshold = cfg.spill;
-    std::string streamed;
-    stream::StreamResult r =
-        stream::run_streaming_string(stages, input, &streamed, pool, config);
+    ExecResult r = Executor(config).run_collect(stages, input);
     ASSERT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback) << pipeline;
-    EXPECT_EQ(streamed, expected)
+    EXPECT_EQ(r.output, expected)
         << pipeline << " (stream, block=" << cfg.block
         << ", spill=" << cfg.spill << ")";
   }
@@ -218,19 +220,15 @@ TEST(RewriteSpill, PathologicalNExportsRunsAndCapsOutput) {
   auto baseline_stages = compile::lower_plan(baseline);
   auto stages = compile::lower_plan(rewritten);
 
-  exec::ThreadPool pool(2);
-  std::string expected =
-      exec::run_pipeline(baseline_stages, input, pool, {2, true}).output;
+  std::string expected = batch_output(baseline_stages, input, 2);
 
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
   config.spill_threshold = 2048;  // far below the ~2000-line window
-  std::string streamed;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(r.output, expected);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -254,21 +252,15 @@ TEST(RewriteSpill, TopKSealsPendingUniqRun) {
                                      true);
   auto stages = compile::lower_plan(rewritten);
 
-  exec::ThreadPool pool(2);
-  std::string expected =
-      exec::run_pipeline(compile::lower_plan(baseline), input, pool,
-                         {2, true})
-          .output;
+  std::string expected = batch_output(compile::lower_plan(baseline), input, 2);
 
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 256;
   config.spill_threshold = 1024;
-  std::string streamed;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &streamed, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(streamed, expected);
+  EXPECT_EQ(r.output, expected);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -281,17 +273,14 @@ TEST(RewriteFusion, StreamChainTerminatesInFusedTopN) {
   auto stages = compile::lower_plan(plan);
   std::string input = random_lines(17, 300, 23, true);
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 1;
   config.block_size = 128;
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
-  EXPECT_EQ(out, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
 }
 
 // ------------------------------------------------ catalog cross-validation --
@@ -313,8 +302,6 @@ class RewriteCatalogCrossval
 TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 11, fs());
-  exec::ThreadPool pool(4);
-
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
     ASSERT_TRUE(parsed.has_value()) << pipeline;
@@ -322,9 +309,7 @@ TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
     compile::eliminate_intermediate_combiners(baseline);
     std::string expected =
-        exec::run_pipeline(compile::lower_plan(baseline), input, pool,
-                           {4, true})
-            .output;
+        batch_output(compile::lower_plan(baseline), input, 4);
 
     compile::Plan rewritten =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
@@ -332,15 +317,13 @@ TEST_P(RewriteCatalogCrossval, RewrittenStreamMatchesUnrewrittenBatch) {
     compile::eliminate_intermediate_combiners(rewritten);
     auto stages = compile::lower_plan(rewritten);
 
-    stream::StreamConfig config;
+    ExecOptions config;
     config.parallelism = 4;
     config.block_size = 2048;
     config.spill_threshold = 4096;
-    std::string streamed;
-    stream::StreamResult r = stream::run_streaming_string(
-        stages, input, &streamed, pool, config);
+    ExecResult r = Executor(config).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_EQ(streamed, expected)
+    EXPECT_EQ(r.output, expected)
         << script.suite << "/" << script.name << (fused ? " (rewritten)" : "")
         << ": " << pipeline;
   }

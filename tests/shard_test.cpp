@@ -101,7 +101,7 @@ TEST(ShardDataflow, ForcedSpillShardedSortMatchesSerial) {
   EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   EXPECT_GT(r.spilled_bytes, 0u);
   bool any_spill = false;
-  for (const stream::NodeMetrics& n : r.nodes)
+  for (const NodeMetrics& n : r.nodes)
     if (n.spill_runs > 0) any_spill = true;
   EXPECT_TRUE(any_spill) << "expected a node with sorted spill runs";
 }

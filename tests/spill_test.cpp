@@ -14,8 +14,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
-#include "exec/runner.h"
-#include "stream/dataflow.h"
+#include "exec/executor.h"
 #include "stream/spill.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
@@ -259,15 +258,13 @@ TEST(SpillDataflow, SequentialSortNodeExternalSorts) {
   auto lines = shuffled_lines(2000, 11);
   for (const std::string& l : lines) input += l;
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 256;
   config.spill_threshold = 2048;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spill_runs, 1);
   EXPECT_GT(r.spilled_bytes, 0u);
@@ -294,16 +291,14 @@ TEST(SpillDataflow, ParallelMergeCombinerSpillsChunkOutputs) {
   auto lines = shuffled_lines(3000, 17);
   for (const std::string& l : lines) input += l;
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 512;
   config.spill_threshold = 4096;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -335,16 +330,14 @@ TEST(SpillDataflow, ParallelRerunCombinerSpoolsThroughDisk) {
   for (int i = 0; i < 2000; ++i)
     input += "run-" + std::to_string(i / 7) + "\n";  // adjacent duplicates
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 256;
   config.spill_threshold = 2048;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -369,15 +362,13 @@ TEST(SpillDataflow, MaterializeNodeSpoolsThroughDisk) {
   for (int i = 0; i < 500; ++i)
     input += "dup-" + std::to_string(i / 5) + "\n";
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 128;
   config.spill_threshold = 1024;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
 }
@@ -391,13 +382,11 @@ TEST(SpillDataflow, OversizedRecordFailsWithDiagnostic) {
 
   // One delimiter-free record far larger than the spill threshold.
   std::string input(64 * 1024, 'x');
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 1024;
   config.spill_threshold = 8 * 1024;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   EXPECT_FALSE(r.ok);
   EXPECT_NE(r.error.find("spill threshold"), std::string::npos) << r.error;
 }
@@ -440,7 +429,10 @@ class SpillCatalogCrossval
 TEST_P(SpillCatalogCrossval, ForcedSpillMatchesBatch) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
+  ExecOptions batch_options;
+  batch_options.mode = ExecMode::kBatch;
+  batch_options.parallelism = 4;
+  Executor batch_executor(batch_options);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -450,21 +442,17 @@ TEST_P(SpillCatalogCrossval, ForcedSpillMatchesBatch) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
+    std::string batch = batch_executor.run_collect(stages, input).output;
 
-    StreamConfig config;
+    ExecOptions config;
     config.parallelism = 4;
     config.block_size = 2048;
     config.spill_threshold = 1024;  // force every spillable node to spill
-    std::string streamed;
-    StreamResult r =
-        run_streaming_string(stages, input, &streamed, pool, config);
+    ExecResult r = Executor(config).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback)
         << pipeline << ": incremental combine bailed: " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, batch)
         << script.suite << "/" << script.name << ": " << pipeline;
   }
 }

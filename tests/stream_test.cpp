@@ -13,16 +13,17 @@
 #include <atomic>
 #include <chrono>
 #include <csignal>
+#include <cstdio>
+#include <cstring>
 #include <functional>
 #include <sstream>
-#include <streambuf>
 #include <thread>
 
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
 #include "dsl/kway.h"
-#include "exec/runner.h"
+#include "exec/executor.h"
 #include "stream/block_reader.h"
 #include "stream/channel.h"
 #include "stream/dataflow.h"
@@ -38,6 +39,28 @@ std::vector<std::string> read_all(BlockReader& reader) {
   return blocks;
 }
 
+// A ReadFn over an in-memory string: the Executor's string source.
+BlockReader::ReadFn string_source(std::string_view bytes) {
+  return [bytes](char* buf, std::size_t n) mutable {
+    const std::size_t got = std::min(n, bytes.size());
+    std::memcpy(buf, bytes.data(), got);
+    bytes.remove_prefix(got);
+    return got;
+  };
+}
+
+// A temp file holding `bytes`, rewound to the start; returns its fd (valid
+// until *keepalive is fclose()d).
+int temp_fd(const std::string& bytes, FILE** keepalive) {
+  FILE* f = std::tmpfile();
+  EXPECT_NE(f, nullptr);
+  fwrite(bytes.data(), 1, bytes.size(), f);
+  fflush(f);
+  rewind(f);
+  *keepalive = f;
+  return fileno(f);
+}
+
 std::string joined(const std::vector<std::string>& blocks) {
   std::string out;
   for (const std::string& b : blocks) out += b;
@@ -51,8 +74,7 @@ TEST(BlockReader, DelimiterStraddlingBlockBoundary) {
   // mid-record, so each block must be realigned to the previous newline.
   std::string input;
   for (int i = 0; i < 40; ++i) input += "abcdef\n";
-  std::istringstream in(input);
-  BlockReader reader(in, {8, '\n'});
+  BlockReader reader(string_source(input), {8, '\n'});
   auto blocks = read_all(reader);
   EXPECT_EQ(joined(blocks), input);
   EXPECT_GT(blocks.size(), 1u);
@@ -66,8 +88,7 @@ TEST(BlockReader, DelimiterStraddlingBlockBoundary) {
 TEST(BlockReader, RecordLongerThanBlock) {
   std::string long_line(1000, 'x');
   std::string input = "short\n" + long_line + "\nshort\n";
-  std::istringstream in(input);
-  BlockReader reader(in, {16, '\n'});
+  BlockReader reader(string_source(input), {16, '\n'});
   auto blocks = read_all(reader);
   EXPECT_EQ(joined(blocks), input);
   bool saw_long = false;
@@ -80,8 +101,7 @@ TEST(BlockReader, RecordLongerThanBlock) {
 
 TEST(BlockReader, CrlfInput) {
   std::string input = "alpha\r\nbeta\r\ngamma\r\n";
-  std::istringstream in(input);
-  BlockReader reader(in, {7, '\n'});
+  BlockReader reader(string_source(input), {7, '\n'});
   auto blocks = read_all(reader);
   EXPECT_EQ(joined(blocks), input);
   for (const std::string& b : blocks) {
@@ -90,8 +110,7 @@ TEST(BlockReader, CrlfInput) {
 }
 
 TEST(BlockReader, EmptyInput) {
-  std::istringstream in("");
-  BlockReader reader(in, {1024, '\n'});
+  BlockReader reader(string_source(""), {1024, '\n'});
   EXPECT_EQ(reader.next(), std::nullopt);
   EXPECT_EQ(reader.next(), std::nullopt);  // stays exhausted
   EXPECT_EQ(reader.bytes_delivered(), 0u);
@@ -99,8 +118,7 @@ TEST(BlockReader, EmptyInput) {
 
 TEST(BlockReader, NoTrailingNewline) {
   std::string input = "one\ntwo\nthree";  // final record unterminated
-  std::istringstream in(input);
-  BlockReader reader(in, {4, '\n'});
+  BlockReader reader(string_source(input), {4, '\n'});
   auto blocks = read_all(reader);
   EXPECT_EQ(joined(blocks), input);
   EXPECT_EQ(blocks.back().back(), 'e');
@@ -110,8 +128,7 @@ TEST(BlockReader, NoTrailingNewline) {
 
 TEST(BlockReader, SingleBlockWhenInputFits) {
   std::string input = "a\nb\nc\n";
-  std::istringstream in(input);
-  BlockReader reader(in, {1 << 20, '\n'});
+  BlockReader reader(string_source(input), {1 << 20, '\n'});
   auto blocks = read_all(reader);
   ASSERT_EQ(blocks.size(), 1u);
   EXPECT_EQ(blocks[0], input);
@@ -120,8 +137,7 @@ TEST(BlockReader, SingleBlockWhenInputFits) {
 
 TEST(BlockReader, CustomDelimiter) {
   std::string input = "a,b,c,d,";
-  std::istringstream in(input);
-  BlockReader reader(in, {3, ','});
+  BlockReader reader(string_source(input), {3, ','});
   auto blocks = read_all(reader);
   EXPECT_EQ(joined(blocks), input);
   for (const std::string& b : blocks) EXPECT_EQ(b.back(), ',');
@@ -181,58 +197,6 @@ TEST(BlockReader, PendingRecordsFlushBeforeBlockingOnIdlePipe) {
   EXPECT_EQ(collected, "aaaa\nbbbb\ncccc\n");  // all without EOF or hang
   ::close(fds[1]);
   ::close(fds[0]);
-}
-
-// An endless istream source: serves a repeating record block forever and
-// fires a callback once a threshold of bytes has been served — the shape
-// of a process substitution or decompressor that never reaches EOF.
-class EndlessStreambuf : public std::streambuf {
- public:
-  EndlessStreambuf(std::function<void()> on_threshold, std::size_t threshold)
-      : on_threshold_(std::move(on_threshold)), threshold_(threshold) {
-    for (int i = 0; i < 47; ++i) chunk_ += "0123456789\n";
-  }
-  std::size_t served() const { return served_; }
-
- protected:
-  int_type underflow() override {
-    if (!fired_ && served_ >= threshold_) {
-      fired_ = true;
-      on_threshold_();
-    }
-    served_ += chunk_.size();
-    setg(chunk_.data(), chunk_.data(), chunk_.data() + chunk_.size());
-    return traits_type::to_int_type(chunk_[0]);
-  }
-
- private:
-  std::string chunk_;
-  std::function<void()> on_threshold_;
-  std::size_t threshold_;
-  std::size_t served_ = 0;
-  bool fired_ = false;
-};
-
-TEST(BlockReader, CancelMidFillStopsIstreamSource) {
-  // cancel() must take effect *during* a fill, not only between blocks:
-  // with a 1 MiB block and an endless istream, a source that only checks
-  // the flag per block would keep pulling the full megabyte after the
-  // cancel lands. The istream source reads in bounded slices and rechecks
-  // between them, so the bytes served stay within a few slices of the
-  // cancellation point. Regression test for the istream half of the
-  // poll-driven fd cancel fix.
-  BlockReader* reader_ptr = nullptr;
-  EndlessStreambuf buf([&reader_ptr] { reader_ptr->cancel(); },
-                       /*threshold=*/1000);
-  std::istream in(&buf);
-  BlockReader reader(in, {1 << 20, '\n'});
-  reader_ptr = &reader;
-  std::size_t delivered = 0;
-  while (auto block = reader.next()) delivered += block->size();
-  EXPECT_EQ(reader.error(), 0);  // cancellation is not a read failure
-  EXPECT_LT(buf.served(), std::size_t(64) * 1024)
-      << "fill kept draining the source after cancel";
-  EXPECT_LE(delivered, buf.served());
 }
 
 TEST(BlockReader, CancelWakesReadBlockedOnIdlePipe) {
@@ -514,31 +478,26 @@ std::string sample_words(int reps = 50) {
 TEST(Dataflow, MatchesBatchAcrossBlockSizes) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
   std::string expect = exec::run_serial(stages, input).output;
   for (std::size_t block : {std::size_t(1), std::size_t(7), std::size_t(64),
                             std::size_t(1 << 20)}) {
-    StreamConfig config;
+    ExecOptions config;
     config.parallelism = 4;
     config.block_size = block;
-    std::string output;
-    StreamResult r =
-        run_streaming_string(stages, input, &output, pool, config);
+    ExecResult r = Executor(config).run_collect(stages, input);
     EXPECT_TRUE(r.ok) << r.error;
     EXPECT_FALSE(r.batch_fallback) << "block=" << block;
-    EXPECT_EQ(output, expect) << "block=" << block;
+    EXPECT_EQ(r.output, expect) << "block=" << block;
   }
 }
 
 TEST(Dataflow, FusesEliminatedChainIntoOneNode) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 64;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   // tr fuses into sort's segment (eliminated combiner); uniq -c is its own.
   ASSERT_EQ(r.nodes.size(), 2u);
@@ -551,30 +510,26 @@ TEST(Dataflow, FusesEliminatedChainIntoOneNode) {
 TEST(Dataflow, UnoptimizedKeepsStagesSeparate) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 64;
   config.use_elimination = false;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(r.nodes.size(), 3u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
 }
 
 TEST(Dataflow, SequentialStageMidPipeline) {
   auto stages = word_count_stages();
   stages[1].parallel = false;  // force sort to drain sequentially
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 32;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   bool saw_sequential = false;
   for (const auto& node : r.nodes)
     if (!node.parallel) saw_sequential = true;
@@ -595,14 +550,12 @@ TEST(Dataflow, EmptyInputMatchesBatch) {
   };
   stages.push_back(std::move(s));
 
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, "", &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, "");
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, "").output);
-  EXPECT_EQ(output, "0\n");
+  EXPECT_EQ(r.output, exec::run_serial(stages, "").output);
+  EXPECT_EQ(r.output, "0\n");
 }
 
 TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
@@ -625,15 +578,13 @@ TEST(Dataflow, ConcatEmissionKeepsMemoryBounded) {
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";  // ~3.4 MB
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 4096;
   config.max_inflight = 8;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].streamed_combine);
   // Budget: inflight chunks in the worker stage plus reorder slack; chunks
@@ -652,29 +603,24 @@ TEST(Dataflow, CombineFailureFallsBackToBatch) {
   s.combine = [](const std::vector<std::string>&)
       -> std::optional<std::string> { return std::nullopt; };
   stages.push_back(std::move(s));
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 4;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, "ab\ncd\nef\ngh\n", &output,
-                                        pool, config);
+  ExecResult r = Executor(config).run_collect(stages, "ab\ncd\nef\ngh\n");
   EXPECT_TRUE(r.ok);
   EXPECT_TRUE(r.batch_fallback);
-  EXPECT_EQ(output, "AB\nCD\nEF\nGH\n");
+  EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
 }
 
 TEST(Dataflow, ParallelismOneRunsSequentially) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 1;
   config.block_size = 64;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   for (const auto& node : r.nodes) EXPECT_FALSE(node.parallel);
 }
 
@@ -697,15 +643,18 @@ TEST(Dataflow, SinkEarlyStopIsCleanNotAnError) {
 
   std::string input;
   for (int i = 0; i < 5000; ++i) input += "abcdefgh\n";
-  std::istringstream in(input);
+  // An fd source: its output reaches the sink block by block (a string
+  // source hands over its buffered output once).
+  FILE* keepalive = nullptr;
+  int fd = temp_fd(input, &keepalive);
   int deliveries = 0;
   Sink sink = [&deliveries](std::string_view) { return ++deliveries < 2; };
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 256;
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(config).run(stages, Source::from_fd(fd), sink);
+  fclose(keepalive);
   EXPECT_TRUE(r.ok) << r.error;
   EXPECT_TRUE(r.stopped_early);
   EXPECT_FALSE(r.combine_undefined);
@@ -734,12 +683,10 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   for (int i = 0; i < 3000; ++i)
     input += (i % 3 ? "alpha beta\n" : "omega\n");
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 128;
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   // One channel hop for the whole chain, not three.
   ASSERT_EQ(r.nodes.size(), 1u);
@@ -747,7 +694,7 @@ TEST(StreamChain, FusesAdjacentStreamableStagesIntoOneNode) {
   EXPECT_FALSE(r.nodes[0].parallel);
   EXPECT_EQ(r.nodes[0].commands, "grep a | tr a-z A-Z | cut -c 1-4");
   EXPECT_GT(r.nodes[0].chunks, 1);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
 }
 
 TEST(StreamChain, SingleNodeRunReportsPeakInFlight) {
@@ -757,16 +704,14 @@ TEST(StreamChain, SingleNodeRunReportsPeakInFlight) {
   std::string input;
   for (int i = 0; i < 2000; ++i) input += std::to_string(i) + "\n";
 
-  exec::ThreadPool pool(1);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 1;
   config.block_size = 1024;
   ASSERT_GT(input.size(), config.block_size);
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   ASSERT_EQ(r.nodes.size(), 1u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   // The in-flight bound: max_inflight (2 · parallelism + 2) blocks.
   EXPECT_GT(r.peak_inflight_bytes, 0u);
   EXPECT_LE(r.peak_inflight_bytes, 4 * config.block_size);
@@ -784,46 +729,51 @@ TEST(StreamChain, StatefulProcessorsMatchWholeInputAcrossBlockSizes) {
     for (int i = 0; i < 200; ++i)
       input += i % 7 ? "axxa\n" : "xxxx\n";
     input += "tailxx";  // no trailing newline
-    exec::ThreadPool pool(2);
     std::string expect = exec::run_serial(stages, input).output;
     for (std::size_t block : {std::size_t(1), std::size_t(5),
                               std::size_t(64), std::size_t(1) << 20}) {
-      StreamConfig config;
+      ExecOptions config;
       config.parallelism = 2;
       config.block_size = block;
-      std::string output;
-      StreamResult r =
-          run_streaming_string(stages, input, &output, pool, config);
+      ExecResult r = Executor(config).run_collect(stages, input);
       ASSERT_TRUE(r.ok) << line << ": " << r.error;
-      EXPECT_EQ(output, expect) << line << " block=" << block;
+      EXPECT_EQ(r.output, expect) << line << " block=" << block;
     }
   }
 }
 
 TEST(StreamChain, PrefixEarlyExitStopsTheReader) {
-  // head -n 3 over a large input must finish after O(blocks), not drain
-  // the stream: the prefix processor reports done, the node cancels
-  // upstream, and the BlockReader is never asked for the rest.
-  std::vector<exec::ExecStage> stages;
-  stages.push_back(streamable_stage("head -n 3"));
-  std::string input;
-  for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";  // ~3.4 MB
-
-  exec::ThreadPool pool(2);
-  StreamConfig config;
-  config.parallelism = 2;
-  config.block_size = 4096;
-  std::istringstream in(input);
-  std::string output;
-  Sink sink = [&output](std::string_view bytes) {
-    output.append(bytes);
-    return true;
+  // A head over a large string source must finish after O(blocks), not
+  // drain the stream: the prefix processor reports done, the node cancels
+  // upstream, and the BlockReader is never asked for the rest — with small
+  // blocks, and with the default 1 MiB block over 8 MiB at k = 1 and 4.
+  struct Case {
+    const char* head;
+    std::size_t input_bytes;
+    std::size_t block_size;
+    int parallelism;
   };
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
-  ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_FALSE(r.stopped_early);  // the *output* is complete, not truncated
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
-  EXPECT_LT(r.bytes_read, 8 * config.block_size) << "reader kept draining";
+  for (Case c : {Case{"head -n 3", 3400000, 4096, 2},
+                 Case{"head -n 10", 8u << 20, 1u << 20, 1},
+                 Case{"head -n 10", 8u << 20, 1u << 20, 4}}) {
+    std::vector<exec::ExecStage> stages;
+    stages.push_back(streamable_stage(c.head));
+    std::string input;
+    while (input.size() < c.input_bytes) input += "abcdefghijklmnop\n";
+
+    ExecOptions config;
+    config.parallelism = c.parallelism;
+    config.block_size = c.block_size;
+    ExecResult r = Executor(config).run_collect(stages, input);
+    std::string where = c.head;
+    where += " k=";
+    where += std::to_string(c.parallelism);
+    ASSERT_TRUE(r.ok) << where << ": " << r.error;
+    EXPECT_FALSE(r.stopped_early) << where;  // the output is complete
+    EXPECT_EQ(r.output, exec::run_serial(stages, input).output) << where;
+    EXPECT_LE(r.bytes_read, 3 * c.block_size)
+        << where << ": reader kept draining";
+  }
 }
 
 TEST(StreamChain, HeadOverIdlePipeCompletesWithoutEof) {
@@ -843,17 +793,12 @@ TEST(StreamChain, HeadOverIdlePipeCompletesWithoutEof) {
 
   std::vector<exec::ExecStage> stages;
   stages.push_back(streamable_stage("head -n 5"));
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
-  std::string output;
-  Sink sink = [&output](std::string_view bytes) {
-    output.append(bytes);
-    return true;
-  };
-  StreamResult r = run_streaming_fd(stages, fds[0], sink, pool, config);
+  ExecResult r =
+      Executor(config).run_collect(stages, Source::from_fd(fds[0]));
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(output, "1\n2\n3\n4\n5\n");
+  EXPECT_EQ(r.output, "1\n2\n3\n4\n5\n");
   ::close(fds[1]);
   ::close(fds[0]);
 }
@@ -882,22 +827,16 @@ TEST(StreamChain, PrefixEarlyExitCancelsParallelUpstream) {
   std::string input;
   for (int i = 0; i < 200000; ++i) input += "abcdefghijklmnop\n";
 
-  exec::ThreadPool pool(4);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 4096;
   config.max_inflight = 8;
-  std::istringstream in(input);
-  std::string output;
-  Sink sink = [&output](std::string_view bytes) {
-    output.append(bytes);
-    return true;
-  };
-  StreamResult r = run_streaming(stages, in, sink, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);
   EXPECT_FALSE(r.combine_undefined);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_FALSE(r.batch_fallback);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   // The feeder may have a few blocks in flight when the close lands, but
   // the reader must stop long before the ~3.4 MB input is drained.
   EXPECT_LT(r.bytes_read, input.size() / 4) << "close did not propagate";
@@ -918,16 +857,14 @@ TEST(StreamChain, DownstreamCloseStopsMaterializeEmission) {
   stages.push_back(streamable_stage("head -n 1"));
   std::string input;
   for (int i = 0; i < 20000; ++i) input += "word another third\n";
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 256;  // awk's output re-blocks into ~400 pushes
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_FALSE(r.stopped_early);
   EXPECT_FALSE(r.batch_fallback);
-  EXPECT_EQ(output, "word\n");
+  EXPECT_EQ(r.output, "word\n");
 }
 
 TEST(StreamChain, PrefixAfterExternalSortStopsMergeCleanly) {
@@ -947,28 +884,27 @@ TEST(StreamChain, PrefixAfterExternalSortStopsMergeCleanly) {
   std::string input;
   for (int i = 20000; i > 0; --i)
     input += "key" + std::to_string(i) + "\n";
-  exec::ThreadPool pool(2);
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
   config.spill_threshold = 4096;  // force sorted runs onto disk
-  std::string output;
-  StreamResult r = run_streaming_string(stages, input, &output, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_GT(r.spilled_bytes, 0u);
-  EXPECT_EQ(output, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
 }
 
-TEST(Dataflow, IstreamToOstream) {
+TEST(Dataflow, FdToOstream) {
   auto stages = word_count_stages();
   std::string input = sample_words();
-  exec::ThreadPool pool(4);
-  std::istringstream in(input);
+  FILE* keepalive = nullptr;
+  int fd = temp_fd(input, &keepalive);
   std::ostringstream out;
-  StreamConfig config;
+  ExecOptions config;
   config.parallelism = 4;
   config.block_size = 128;
-  StreamResult r = run_streaming(stages, in, out, pool, config);
+  ExecResult r = Executor(config).run(stages, Source::from_fd(fd), out);
+  fclose(keepalive);
   ASSERT_TRUE(r.ok) << r.error;
   EXPECT_EQ(out.str(), exec::run_serial(stages, input).output);
 }
@@ -993,7 +929,14 @@ class StreamCatalogCrossval
 TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
+  ExecOptions batch_options;
+  batch_options.mode = ExecMode::kBatch;
+  batch_options.parallelism = 4;
+  Executor batch_executor(batch_options);
+  ExecOptions config;
+  config.parallelism = 4;
+  config.block_size = 2048;  // force ~12 blocks per run
+  Executor stream_executor(config);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -1003,20 +946,12 @@ TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
     compile::eliminate_intermediate_combiners(plan);
     auto stages = compile::lower_plan(plan);
 
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
-
-    StreamConfig config;
-    config.parallelism = 4;
-    config.block_size = 2048;  // force ~12 blocks per run
-    std::string streamed;
-    StreamResult r =
-        run_streaming_string(stages, input, &streamed, pool, config);
+    std::string batch = batch_executor.run_collect(stages, input).output;
+    ExecResult r = stream_executor.run_collect(stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback)
         << pipeline << ": incremental combine bailed: " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, batch)
         << script.suite << "/" << script.name << ": " << pipeline;
 
     // Forced-sequential lowering: every streamable stage becomes part of a
@@ -1030,11 +965,9 @@ TEST_P(StreamCatalogCrossval, StreamMatchesBatch) {
     for (const auto& stage : seq_stages)
       if (stage.memory_class == exec::MemoryClass::kStatelessStream)
         fused = true;
-    std::string seq_streamed;
-    StreamResult seq_r =
-        run_streaming_string(seq_stages, input, &seq_streamed, pool, config);
+    ExecResult seq_r = stream_executor.run_collect(seq_stages, input);
     EXPECT_TRUE(seq_r.ok) << pipeline << " (sequential): " << seq_r.error;
-    EXPECT_EQ(seq_streamed, batch)
+    EXPECT_EQ(seq_r.output, batch)
         << script.suite << "/" << script.name << " (sequential"
         << (fused ? ", stream-chain" : "") << "): " << pipeline;
   }

@@ -17,9 +17,7 @@
 #include "bench_support/catalog.h"
 #include "compile/optimize.h"
 #include "compile/plan.h"
-#include "exec/runner.h"
-#include "exec/thread_pool.h"
-#include "stream/dataflow.h"
+#include "exec/executor.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
 
@@ -61,7 +59,6 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
   EXPECT_EQ(command->run(c.input), c.expected) << c.command;
 
   std::vector<exec::ExecStage> stages{make_stage(command)};
-  exec::ThreadPool pool(2);
   EXPECT_EQ(exec::run_serial(stages, c.input).output, c.expected)
       << c.command << " (serial)";
 
@@ -74,19 +71,17 @@ TEST_P(WindowGolden, BatchStreamAndSpillAgree) {
   for (RunCfg rc : {RunCfg{4, 64 << 20}, RunCfg{std::size_t(1) << 20,
                                                 std::size_t(64) << 20},
                     RunCfg{4, 32}, RunCfg{std::size_t(1) << 20, 1}}) {
-    stream::StreamConfig config;
+    ExecOptions config;
     config.parallelism = 2;
     config.block_size = rc.block;
     config.spill_threshold = rc.spill;
-    std::string streamed;
-    stream::StreamResult r =
-        stream::run_streaming_string(stages, c.input, &streamed, pool, config);
+    ExecResult r = Executor(config).run_collect(stages, c.input);
     ASSERT_TRUE(r.ok) << c.command << ": " << r.error;
     EXPECT_FALSE(r.batch_fallback) << c.command;
     ASSERT_EQ(r.nodes.size(), 1u);
     EXPECT_TRUE(r.nodes[0].window)
         << c.command << " should run as a window node";
-    EXPECT_EQ(streamed, c.expected)
+    EXPECT_EQ(r.output, c.expected)
         << c.command << " (stream, block=" << rc.block
         << ", spill=" << rc.spill << ")";
   }
@@ -204,15 +199,12 @@ TEST(WindowFusion, WindowTerminatesAFusedChain) {
   auto stages = compile::lower_plan(plan);
 
   std::string input = "ab\nab\ncd\nax\nax\nax\nab\n";
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 4;
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, "3\n");  // ab, ax, ab survive uniq
+  EXPECT_EQ(r.output, "3\n");  // ab, ax, ab survive uniq
   ASSERT_EQ(r.nodes.size(), 2u);
   EXPECT_EQ(r.nodes[0].commands, "grep a | uniq");
   EXPECT_TRUE(r.nodes[0].window);
@@ -232,16 +224,13 @@ TEST(WindowSpill, SortUniqueWindowSpillsSortedRuns) {
   for (int i = 0; i < 4000; ++i)
     input += "line-" + std::to_string((i * 37) % 1000) + "\n";
 
-  exec::ThreadPool pool(2);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 2;
   config.block_size = 512;
   config.spill_threshold = 4096;  // far below the ~10 KB distinct set
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, exec::run_serial(stages, input).output);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -275,16 +264,13 @@ TEST(WindowSpill, ParallelPlannedSortUniqueUsesOwnSpecAtKOne) {
   for (int i = 4000; i > 0; --i)
     input += std::to_string(i % 500) + "\n";
 
-  exec::ThreadPool pool(1);
-  stream::StreamConfig config;
+  ExecOptions config;
   config.parallelism = 1;  // forces the sequential window lowering
   config.block_size = 512;
   config.spill_threshold = 2048;  // forces the window to export runs
-  std::string out;
-  stream::StreamResult r =
-      stream::run_streaming_string(stages, input, &out, pool, config);
+  ExecResult r = Executor(config).run_collect(stages, input);
   ASSERT_TRUE(r.ok) << r.error;
-  EXPECT_EQ(out, command->run(input));
+  EXPECT_EQ(r.output, command->run(input));
   ASSERT_EQ(r.nodes.size(), 1u);
   EXPECT_TRUE(r.nodes[0].window);
   EXPECT_GT(r.nodes[0].spilled_bytes, 0u);
@@ -313,7 +299,10 @@ class WindowCatalogCrossval
 TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
   const bench::Script& script = *GetParam();
   std::string input = bench::prepare_input(script, 24 * 1024, 7, fs());
-  exec::ThreadPool pool(4);
+  ExecOptions batch_options;
+  batch_options.mode = ExecMode::kBatch;
+  batch_options.parallelism = 4;
+  Executor batch_executor(batch_options);
 
   for (const std::string& pipeline : script.pipelines) {
     auto parsed = compile::parse_pipeline(pipeline);
@@ -321,9 +310,7 @@ TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
     compile::Plan plan =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
     auto stages = compile::lower_plan(plan);
-    exec::RunConfig batch_config{4, /*use_elimination=*/true};
-    std::string batch =
-        exec::run_pipeline(stages, input, pool, batch_config).output;
+    std::string batch = batch_executor.run_collect(stages, input).output;
 
     compile::Plan seq_plan =
         compile::compile_pipeline(*parsed, cache(), {}, &fs());
@@ -334,15 +321,13 @@ TEST_P(WindowCatalogCrossval, ForcedWindowMatchesBatch) {
       if (stage.memory_class == exec::MemoryClass::kWindowStream)
         windowed = true;
 
-    stream::StreamConfig config;
+    ExecOptions config;
     config.parallelism = 4;
     config.block_size = 2048;
     config.spill_threshold = 4096;  // forces the window/merge spill paths
-    std::string streamed;
-    stream::StreamResult r = stream::run_streaming_string(
-        seq_stages, input, &streamed, pool, config);
+    ExecResult r = Executor(config).run_collect(seq_stages, input);
     EXPECT_TRUE(r.ok) << pipeline << ": " << r.error;
-    EXPECT_EQ(streamed, batch)
+    EXPECT_EQ(r.output, batch)
         << script.suite << "/" << script.name
         << (windowed ? " (window)" : "") << ": " << pipeline;
   }
