@@ -690,6 +690,31 @@ int main(int argc, char** argv) {
         {std::string("io-poll:") + kPipelines[1].cmd, fd_run});
   }
 
+  // Parallel StructOp combine: uniq -c at k=4 is a parallel segment (at
+  // k=1 it would be a window stage), its stitch2 combiner folding at the
+  // seam. The input's adjacent lines rarely repeat, so the output is
+  // input-sized: a collector that accumulates the whole output again reads
+  // as that much RSS growth over the seam fold's O(k · slice). The k=1
+  // window run is the output-size reference.
+  {
+    Compiled uniq_c = compile_one("uniq -c", cache);
+    Measurement par = run_isolated(
+        [&] { return run_stream_file(uniq_c, path, 4, config); });
+    Measurement one = run_isolated(
+        [&] { return run_stream_file(uniq_c, path, 1, config); });
+    std::cout << "\nparallel seam fold: uniq -c at k=4 " << par.seconds
+              << " s (k=1 window " << one.seconds << " s), RSS growth "
+              << (par.rss_growth >> 20) << " MiB, output "
+              << (par.out_bytes >> 20) << " MiB\n";
+    if (!par.ok || !one.ok) all_ok = false;
+    if (par.out_bytes != one.out_bytes) {
+      std::cout << "  ERROR: output size mismatch (k=4 " << par.out_bytes
+                << " vs k=1 " << one.out_bytes << ")\n";
+      all_ok = false;
+    }
+    gate_records.push_back({"par-k4:uniq -c", par});
+  }
+
   if (!json_path.empty()) {
     write_json(json_path, input_mb, gate_records);
     std::cout << "\nwrote " << gate_records.size() << " scenarios to "

@@ -68,8 +68,17 @@ std::string rss_model(const compile::PlannedStage& planned,
   bool spill_on = options.spill_threshold > 0;
   switch (lowered.memory_class) {
     case exec::MemoryClass::kStreaming:
-      return "O(parallelism x slice): slice outputs feed an incremental "
-             "combining tree";
+      // Mirrors the collector's modes (stream/dataflow.cpp): only concat
+      // emission and the seam fold stream their output; a RecOp fold or a
+      // composite that may fall back holds the whole accumulator.
+      if (lowered.concat_combiner)
+        return "O(parallelism x slice): slice outputs stream downstream in "
+               "order (concat)";
+      if (lowered.seam_combiner)
+        return "O(parallelism x slice): seam fold emits each settled "
+               "prefix, carrying one record";
+      return "O(output): slice outputs fold into a whole-output "
+             "accumulator";
     case exec::MemoryClass::kStatelessStream:
       return "O(block): fused per-block stream chain";
     case exec::MemoryClass::kWindowStream:

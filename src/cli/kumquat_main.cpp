@@ -268,9 +268,13 @@ void print_stream_stats(const kq::ExecResult& result) {
     if (!n.early_exit.empty())
       std::cerr << " early-exit=" << n.early_exit;
     std::cerr << "\n";
-    if (n.parallel)
+    if (n.parallel) {
       std::cerr << "      slices=" << n.shard_slices
-                << " worker-busy=" << format_ms(n.worker_busy_ns) << "\n";
+                << " worker-busy=" << format_ms(n.worker_busy_ns);
+      if (n.combine_bytes != 0)
+        std::cerr << " combine=" << n.combine_bytes << " bytes";
+      std::cerr << "\n";
+    }
   }
 }
 

@@ -3,6 +3,7 @@
 #include "obs/trace.h"
 
 #include "dsl/ast.h"
+#include "dsl/seam.h"
 #include "unixcmd/registry.h"
 #include "unixcmd/sort_cmd.h"
 #include "unixcmd/topn.h"
@@ -134,6 +135,14 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
         if (g.node->op != dsl::Op::kMerge && g.node->op != dsl::Op::kRerun)
           stage.defer_combine = false;
       }
+      // A composite that is one StructOp up to equal-value leaves folds at
+      // the seam: the runtime streams its settled prefix (dsl/seam.h).
+      // Derived from the combiner tree alone, never the command's name.
+      const std::vector<dsl::Combiner>& members =
+          p.synthesis->combiner.combiners();
+      if (dsl::seam_foldable(members))
+        stage.seam_combiner =
+            std::make_shared<const dsl::Combiner>(members.front());
       stage.combiner_name = p.synthesis->combiner.to_string();
       synth::CompositeCombiner combiner = p.synthesis->combiner;
       cmd::CommandPtr command = p.command;
@@ -156,8 +165,9 @@ std::vector<exec::ExecStage> lower_plan(const Plan& plan) {
     // sorted runs. A parallel merge-combined stage spills its sorted chunk
     // outputs as runs (comparator = the combiner's merge spec); a
     // sequential built-in sort externalizes with its own spec; parallel
-    // concat/fold stages are bounded already; everything else must
-    // materialize.
+    // concat and seam-fold stages hold O(parallelism x slice) and RecOp
+    // folds an accumulator of output size (kStreaming); everything else
+    // must materialize.
     const dsl::Combiner* primary =
         p.synthesis && p.synthesis->success ? p.synthesis->combiner.primary()
                                             : nullptr;

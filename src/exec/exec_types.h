@@ -83,7 +83,8 @@ using Sink = std::function<bool(std::string_view)>;
 struct NodeMetrics {
   std::string commands;           // fused chain display, " | " separated
   bool parallel = false;
-  bool streamed_combine = false;  // concat emission, no accumulation
+  bool streamed_combine = false;  // concat or seam-fold emission: the
+                                  // combined output is never accumulated
   bool per_block = false;         // stream-chain node (kStatelessStream)
   bool window = false;            // chain ends in a window stage (kWindow)
   int chunks = 0;                 // blocks (stream) or substreams (batch)
@@ -91,6 +92,11 @@ struct NodeMetrics {
   std::size_t out_bytes = 0;
   std::size_t spilled_bytes = 0;  // bytes written to disk by this node
   int spill_runs = 0;             // sorted runs spilled (external merge)
+  // Bytes a parallel node's fold combiner read (0 for concat, merge and
+  // rerun nodes): a seam fold reads each part once plus the record carried
+  // across each seam; an accumulator fold re-reads the accumulator for
+  // every part it folds in.
+  std::uint64_t combine_bytes = 0;
   double seconds = 0;             // active span (first input to close)
 
   // Populated only when ExecOptions::stats is on (see obs/metrics.h for

@@ -19,6 +19,10 @@ namespace kq::cmd {
 class SortSpec;  // fwd: comparator carried for external-merge spilling
 }
 
+namespace kq::dsl {
+struct Combiner;  // fwd: the StructOp a seam-fold stage folds with
+}
+
 namespace kq::exec {
 
 // A k-way combiner as seen by the runtime (bound by the compiler from the
@@ -99,6 +103,12 @@ struct ExecStage {
   // the partial outputs and reruns the command once, so deferred parts can
   // spool through disk instead of accumulating in memory.
   bool rerun_combiner = false;
+  // Set when the stage's composite combiner is one StructOp up to leaves
+  // that never change its result (dsl::seam_foldable): the streaming
+  // runtime folds chunk outputs through a dsl::SeamFold, emitting each
+  // settled prefix downstream and carrying only the last record, instead
+  // of accumulating the whole output.
+  std::shared_ptr<const dsl::Combiner> seam_combiner;
   // Set by compile::lower_plan. For kSortableSpill, `sort_spec` carries the
   // comparator: the synthesized merge combiner's spec when the stage is
   // parallel (it orders the chunk outputs being combined), the sort

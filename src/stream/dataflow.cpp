@@ -6,6 +6,7 @@
 #include <memory>
 #include <thread>
 
+#include "dsl/seam.h"
 #include "exec/parallel.h"
 #include "obs/metrics.h"
 #include "obs/trace.h"
@@ -50,6 +51,7 @@ struct Segment {
   bool stream = false;       // per-block chain of cmd::StreamProcessors
   bool window = false;       // chain.back() is a cmd::WindowProcessor stage
   bool emit_concat = false;  // combiner is concat: emit instead of folding
+  bool seam_fold = false;    // combiner is a StructOp: fold at the seam
   const exec::ExecStage* combine_stage = nullptr;
 
   std::string display() const {
@@ -147,6 +149,12 @@ std::vector<Segment> build_segments(const std::vector<exec::ExecStage>& stages,
       }
       seg.combine_stage = seg.chain.back();
       seg.emit_concat = seg.combine_stage->concat_combiner;
+      // The seam fold cuts its settled pieces at '\n', so a custom record
+      // delimiter keeps the whole-output fold (whose emit_blocks cuts at
+      // the delimiter).
+      seg.seam_fold = !seg.emit_concat &&
+                      seg.combine_stage->seam_combiner != nullptr &&
+                      config.delimiter == '\n';
     }
     ++i;
     segments.push_back(std::move(seg));
@@ -354,14 +362,19 @@ void run_feeder(ParallelCtx& ctx, NodeMetrics& metrics, const Pull& pull,
 
 // Collector: the segment's combining tree. Restores input order, then
 // either emits chunk outputs immediately (concat combiners: early handoff
-// in slice order) or folds them incrementally with doubling group sizes
-// (total fold work O(output · log chunks)); merge-mode combiners past the
-// spill threshold hand the tree to SpillMerger. While waiting for the next
-// part it steals queued pool tasks — often this segment's own straggler
-// slices — so the tree keeps merging instead of idling. `out_closed`
-// distinguishes a push that failed because downstream closed its read side
-// (clean early exit: cancel upstream, no error) from a combine failure;
-// `cancel_upstream` stops this segment's feeder and read-closes its input.
+// in slice order), folds them at the seam (StructOp combiners: each part's
+// settled prefix goes downstream as it arrives and only its last record is
+// carried, dsl::SeamFold), or folds them into an accumulator in doubling
+// groups (RecOp folds and composite fallbacks: every part re-reads the
+// accumulator, O(output · chunks) in all, held until end of input);
+// merge-mode combiners past the spill threshold hand the tree to
+// SpillMerger. While
+// waiting for the next part it steals queued pool tasks — often this
+// segment's own straggler slices — so the tree keeps merging instead of
+// idling. `out_closed` distinguishes a push that failed because downstream
+// closed its read side (clean early exit: cancel upstream, no error) from a
+// combine failure; `cancel_upstream` stops this segment's feeder and
+// read-closes its input.
 void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
                    const Push& push, const std::function<void()>& close_out,
                    const std::function<bool()>& out_closed,
@@ -374,6 +387,18 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
   bool have_acc = false;
   std::vector<std::string> group;
   std::size_t group_bytes = 0;
+  std::optional<dsl::SeamFold> seam;
+  if (seg.seam_fold) seam.emplace(*seg.combine_stage->seam_combiner);
+  // What the combiner holds between parts (the accumulator and its pending
+  // group, or the seam fold's carried part) counts as in flight.
+  std::size_t held = 0;
+  auto hold = [&](std::size_t now) {
+    if (now > held)
+      shared.gauge.add(now - held);
+    else
+      shared.gauge.sub(held - now);
+    held = now;
+  };
 
   // Merge-mode combiners (defer + sortable) stop deferring once the held
   // parts exceed the spill threshold: each part is a sorted run, so batches
@@ -419,10 +444,20 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     for (std::string& p : group) parts.push_back(std::move(p));
     group.clear();
     group_bytes = 0;
+    if (!cstage.defer_combine) {
+      // combine_k's left fold reads the accumulator so far and the next
+      // part for every part it folds in.
+      std::size_t running = parts.front().size();
+      for (std::size_t i = 1; i < parts.size(); ++i) {
+        running += parts[i].size();
+        metrics.combine_bytes += running;
+      }
+    }
     std::optional<std::string> combined = seg.combine_stage->combine(parts);
     if (!combined) return false;
     acc = std::move(*combined);
     have_acc = true;
+    hold(acc.size());
     return true;
   };
 
@@ -454,6 +489,18 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       metrics.out_bytes += part.size();
       if (part.empty()) return true;
       return push(std::move(part));
+    }
+    if (seam) {
+      // Seam fold: the part's settled prefix (its predecessor's buffer,
+      // handed on whole) goes downstream now; the fold keeps one part.
+      auto span = obs::span(tele.tracer, "combine-seam", "combine");
+      span.arg("bytes", part.size());
+      std::string settled;
+      if (!seam->add(std::move(part), &settled)) return false;
+      hold(seam->held_bytes());
+      metrics.out_bytes += settled.size();
+      if (settled.empty()) return true;
+      return push(std::move(settled));
     }
     if (merger) return spill_part(std::move(part));
     if (spool) return spool_part(part);
@@ -490,6 +537,7 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       }
       return true;
     }
+    hold(acc.size() + group_bytes);
     if (group_bytes >= std::max(config.block_size, acc.size()))
       return flush_group();
     return true;
@@ -584,6 +632,10 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
           emit_blocks(rerun.out, push, config);
         }
       }
+    } else if (seam) {
+      std::string rest = seam->finish();
+      metrics.out_bytes += rest.size();
+      if (!rest.empty()) push(std::move(rest));
     } else {
       bool ok = flush_group();
       if (ok && !seg.emit_concat && have_acc) {
@@ -597,12 +649,14 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
       }
     }
   }
+  hold(0);
   if (merger) {
     metrics.spilled_bytes = merger->spilled_bytes();
     metrics.spill_runs = merger->runs_spilled();
   } else if (spool) {
     metrics.spilled_bytes = spool->spilled_bytes();
   }
+  if (seam) metrics.combine_bytes = seam->bytes_read();
   if (tele.counters) {
     tele.counters->spill_runs.store(
         static_cast<std::uint64_t>(metrics.spill_runs),
@@ -1105,7 +1159,8 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
   for (std::size_t i = 0; i < n; ++i) {
     result.nodes[i].commands = segments[i].display();
     result.nodes[i].parallel = segments[i].parallel;
-    result.nodes[i].streamed_combine = segments[i].emit_concat;
+    result.nodes[i].streamed_combine =
+        segments[i].emit_concat || segments[i].seam_fold;
     result.nodes[i].per_block = segments[i].stream;
     result.nodes[i].window = segments[i].window;
     if (config.stats) {

@@ -27,12 +27,18 @@
 //     through the external merge — sealed first so cross-record residue
 //     survives, and re-streamed capped at the window's output limit;
 //   - all pipeline segments run concurrently instead of in stage barriers;
-//   - combining is incremental: each segment's combiner folds chunk
-//     outputs as they arrive in input order (doubling group sizes keep the
-//     total fold work near one k-way combine) instead of waiting for all
-//     chunks. Segments whose combiner is plain concat over
-//     newline-terminated outputs skip accumulation entirely and emit chunk
-//     outputs downstream the moment they are next in order;
+//   - combining is incremental, in one of three modes per segment.
+//     Segments whose combiner is plain concat over newline-terminated
+//     outputs skip accumulation entirely and emit chunk outputs downstream
+//     the moment they are next in order. Segments whose combiner is a
+//     StructOp (stitch, stitch2, offset: uniq, uniq -c) run a seam fold
+//     (dsl::SeamFold): each part is checked once, combined with the
+//     carried last record, and everything before its own last record goes
+//     downstream, so they too hold O(parallelism · slice). RecOp folds and
+//     composites that may fall back fold chunk outputs into an accumulator
+//     of output size as they arrive (combine_k folds a group pairwise, so
+//     every part re-reads the accumulator: O(output · chunks) in all, which
+//     the small outputs of add/back/fuse folds keep cheap);
 //   - accumulation past `spill_threshold` moves to disk (stream/spill.*,
 //     per the stage's exec::MemoryClass): merge-mode combiners spill chunk
 //     outputs as sorted runs and k-way-merge them back to the stream,

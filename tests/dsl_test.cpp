@@ -1,13 +1,18 @@
 // Tests for the combiner DSL: sizes, printing, legal domains, the big-step
 // semantics of every operator (Figure 6), candidate enumeration (including
-// the paper's exact space sizes), and k-way generalization.
+// the paper's exact space sizes), k-way generalization, and the seam fold
+// that streams the StructOps' k-way fold.
 
 #include <gtest/gtest.h>
+
+#include <random>
 
 #include "dsl/domain.h"
 #include "dsl/enumerate.h"
 #include "dsl/eval.h"
 #include "dsl/kway.h"
+#include "dsl/seam.h"
+#include "synth/composite.h"
 #include "unixcmd/registry.h"
 
 namespace kq::dsl {
@@ -306,6 +311,226 @@ TEST(KWay, PairwiseFoldForStructOps) {
 TEST(KWay, SingletonAndEmpty) {
   EXPECT_EQ(combine_k(combiner_concat(), {}).value(), "");
   EXPECT_EQ(combine_k(combiner_stitch_first(), {"a\n"}).value(), "a\n");
+}
+
+// ----------------------------------------------------------- seam fold --
+
+Combiner with_leaf(Op op, char d, Op b1, Op b2 = Op::kFirst) {
+  if (op == Op::kStitch)
+    return {make_stitch(make_leaf(b1)), false, nullptr, ""};
+  if (op == Op::kStitch2)
+    return {make_stitch2(d, make_leaf(b1), make_leaf(b2)), false, nullptr, ""};
+  return {make_unary(op, d, make_leaf(b1)), false, nullptr, ""};
+}
+
+TEST(SeamFold, FoldableCompositesFollowTheTree) {
+  const Combiner sf = with_leaf(Op::kStitch, 0, Op::kFirst);
+  const Combiner ss = with_leaf(Op::kStitch, 0, Op::kSecond);
+  const Combiner saf = with_leaf(Op::kStitch2, ' ', Op::kAdd, Op::kFirst);
+  const Combiner sas = with_leaf(Op::kStitch2, ' ', Op::kAdd, Op::kSecond);
+  EXPECT_TRUE(seam_foldable({sf, ss}));   // uniq
+  EXPECT_TRUE(seam_foldable({saf, sas}));  // uniq -c
+  EXPECT_TRUE(seam_foldable({combiner_offset_add(' ')}));
+  EXPECT_TRUE(seam_foldable({with_leaf(Op::kStitch, 0, Op::kAdd)}));
+  // b1 meets two different counts, and offset's b two different fields.
+  EXPECT_FALSE(seam_foldable(
+      {saf, with_leaf(Op::kStitch2, ' ', Op::kSecond, Op::kFirst)}));
+  EXPECT_FALSE(seam_foldable(
+      {combiner_offset_add(' '), with_leaf(Op::kOffset, ' ', Op::kSecond)}));
+  // A leaf on equal values that is not the identity there.
+  EXPECT_FALSE(seam_foldable(
+      {saf, with_leaf(Op::kStitch2, ' ', Op::kAdd, Op::kConcat)}));
+  EXPECT_FALSE(seam_foldable({sf, with_leaf(Op::kStitch, 0, Op::kAdd)}));
+  EXPECT_FALSE(seam_foldable({saf, with_leaf(Op::kStitch2, '\t', Op::kAdd)}));
+  EXPECT_FALSE(seam_foldable({sf, saf}));
+  EXPECT_FALSE(seam_foldable({swapped(sf)}));
+  EXPECT_FALSE(seam_foldable({combiner_add()}));
+  EXPECT_FALSE(seam_foldable({combiner_concat()}));
+  EXPECT_FALSE(seam_foldable({combiner_merge("")}));
+  EXPECT_FALSE(seam_foldable({}));
+}
+
+// The seam fold over `parts`: every settled piece, then finish().
+std::optional<std::string> seam_result(const Combiner& g,
+                                       const std::vector<std::string>& parts) {
+  SeamFold fold(g);
+  std::string out, settled;
+  for (const std::string& p : parts) {
+    if (!fold.add(p, &settled)) return std::nullopt;
+    out += settled;
+  }
+  return out + fold.finish();
+}
+
+TEST(SeamFold, HandsOnThePartBuffers) {
+  SeamFold fold(combiner_stitch2_add_first(' '));
+  std::string first = "      1 a\n      2 b\n";
+  const char* first_data = first.data();
+  std::string settled;
+  ASSERT_TRUE(fold.add(std::move(first), &settled));
+  EXPECT_EQ(settled, "");  // a lone part is the result unchecked: held
+  ASSERT_TRUE(fold.add("      3 b\n      1 c\n", &settled));
+  // The equal seam merges into the second part; the first part's buffer
+  // leaves without its carried line.
+  EXPECT_EQ(settled, "      1 a\n");
+  EXPECT_EQ(settled.data(), first_data);
+  EXPECT_EQ(fold.finish(), "      5 b\n      1 c\n");
+}
+
+TEST(SeamFold, EdgeCasesMatchTheFold) {
+  const Combiner uniq = combiner_stitch_first();
+  const Combiner uniq_c = combiner_stitch2_add_first(' ');
+  const Combiner off = combiner_offset_add(' ');
+  const Combiner stitch_add = with_leaf(Op::kStitch, 0, Op::kAdd);
+  const std::vector<std::pair<Combiner, std::vector<std::string>>> cases = {
+      {uniq, {}},
+      {uniq, {"a"}},                  // lone unterminated part: as is
+      {uniq, {"a", "a\n"}},           // unterminated then a fold: undefined
+      {uniq, {"a\n", ""}},            // an empty part in a fold: undefined
+      {uniq, {"\n", "\n", "a\n"}},
+      {uniq_c, {"\n"}},
+      {uniq_c, {"\n", "      1 a\n"}},  // exempt alone, concatenated
+      {uniq_c, {"      1 a\n", "\n"}},
+      {uniq_c, {"      1 a\n", "\n", "      1 a\n"}},  // then undefined
+      {uniq_c, {"1 a\n"}},           // illegal but lone
+      {uniq_c, {"1 a\n", "      1 a\n"}},
+      {uniq_c, {"      1 a\nx\n      1 b\n", "      1 b\n"}},
+      {uniq_c, {"999999 a\n", " 999999 a\n"}},  // unpadded row stays last
+      {uniq_c, {" 999999 a\n", " 1 a\n"}},
+      {uniq_c, {" 999999 a\n", " 1 a\n", " 1 b\n"}},  // then undefined
+      {stitch_add, {"\n", "1\n"}},  // no "\n" exemption for stitch
+      {stitch_add, {"1\n", "1\n", "2\n"}},
+      {off, {"\n", "1 a\n"}},
+      {off, {"1 a\n\n", "\n", "2 b\n"}},
+      {off, {"1 a\n", "x b\n"}},
+  };
+  for (const auto& [g, parts] : cases) {
+    std::string trace = to_string(g);
+    trace += " over ";
+    trace += std::to_string(parts.size());
+    trace += " parts";
+    SCOPED_TRACE(trace);
+    EXPECT_EQ(seam_result(g, parts), combine_k(g, parts));
+  }
+}
+
+// Random part sequences for one StructOp shape: records drawn from a small
+// alphabet so seams often meet equal lines, plus empty parts, "\n" parts,
+// unterminated parts and records outside the domain.
+struct PartGen {
+  std::mt19937 rng;
+  std::vector<std::string> records;  // legal records, '\n' included
+  std::vector<std::string> illegal;  // records outside the domain
+
+  std::size_t pick(std::size_t n) { return rng() % n; }
+
+  std::string part() {
+    switch (pick(12)) {
+      case 0: return "";
+      case 1: return "\n";
+      default: break;
+    }
+    std::string out;
+    const std::size_t lines = 1 + pick(4);
+    for (std::size_t i = 0; i < lines; ++i)
+      out += pick(20) == 0 ? illegal[pick(illegal.size())]
+                           : records[pick(records.size())];
+    if (pick(15) == 0) out.pop_back();  // unterminated
+    return out;
+  }
+
+  std::vector<std::string> parts() {
+    std::vector<std::string> out(1 + pick(6));
+    for (std::string& p : out) p = part();
+    return out;
+  }
+};
+
+void expect_seam_fold_matches(const std::vector<Combiner>& members,
+                              PartGen gen) {
+  ASSERT_TRUE(seam_foldable(members));
+  const synth::CompositeCombiner composite =
+      synth::CompositeCombiner::select(members);
+  const Combiner& g = composite.combiners().front();
+  int defined = 0, undefined = 0;
+  for (int round = 0; round < 3000; ++round) {
+    const std::vector<std::string> parts = gen.parts();
+    // Every prefix: the fold must fail on exactly the part that makes the
+    // left fold undefined, and agree byte for byte before it.
+    SeamFold fold(g);
+    std::string emitted, settled;
+    bool alive = true;
+    for (std::size_t n = 1; n <= parts.size(); ++n) {
+      const std::vector<std::string> prefix(parts.begin(), parts.begin() + n);
+      const std::optional<std::string> want = composite.apply_k(prefix);
+      ASSERT_EQ(want, combine_k(g, prefix));
+      if (alive) alive = fold.add(prefix.back(), &settled);
+      ASSERT_EQ(alive, want.has_value())
+          << to_string(g) << " round " << round << " part " << n;
+      if (!alive) break;
+      emitted += settled;
+      SeamFold rest = fold;
+      ASSERT_EQ(emitted + rest.finish(), *want)
+          << to_string(g) << " round " << round << " part " << n;
+    }
+    ++(alive ? defined : undefined);
+  }
+  // The generator must exercise both outcomes.
+  EXPECT_GT(defined, 300);
+  EXPECT_GT(undefined, 300);
+}
+
+TEST(SeamFold, MatchesCombineKForUniq) {
+  PartGen gen{std::mt19937(1), {"a\n", "b\n", "\n", "a b\n"}, {}};
+  gen.illegal = {"a"};  // only an unterminated record leaves stitch's domain
+  expect_seam_fold_matches({with_leaf(Op::kStitch, 0, Op::kFirst),
+                            with_leaf(Op::kStitch, 0, Op::kSecond)},
+                           gen);
+}
+
+TEST(SeamFold, MatchesCombineKForUniqC) {
+  PartGen gen{std::mt19937(2),
+              {"      1 a\n", "      2 a\n", "      1 b\n", "      3 b\n",
+               " 999999 a\n", "     12 a b\n"},
+              {"1 a\n", "      x a\n", "      1\n", "\n"}};
+  expect_seam_fold_matches(
+      {with_leaf(Op::kStitch2, ' ', Op::kAdd, Op::kFirst),
+       with_leaf(Op::kStitch2, ' ', Op::kAdd, Op::kSecond)},
+      gen);
+}
+
+TEST(SeamFold, MatchesCombineKForOffset) {
+  PartGen gen{std::mt19937(3), {"1 a\n", "12 b\n", "  3 c d\n", "\n"},
+              {"x a\n", "7\n"}};
+  expect_seam_fold_matches({combiner_offset_add(' ')}, gen);
+}
+
+TEST(SeamFold, MatchesCombineKForStitchAdd) {
+  // A lone member with a b that changes equal lines and has a domain.
+  PartGen gen{std::mt19937(4), {"1\n", "2\n", "01\n"}, {"x\n", "\n"}};
+  expect_seam_fold_matches({with_leaf(Op::kStitch, 0, Op::kAdd)}, gen);
+}
+
+TEST(SeamFold, ReadsEachPartOnce) {
+  // 1000 parts of distinct rows: the fold reads the input once plus one
+  // carried row per seam, where an accumulator fold re-reads acc per part.
+  SeamFold fold(combiner_stitch2_add_first(' '));
+  std::size_t in = 0, out = 0;
+  std::string settled;
+  for (int i = 0; i < 1000; ++i) {
+    std::string part = "      1 a";
+    part += std::to_string(i);
+    part += "\n      1 b";
+    part += std::to_string(i);
+    part += '\n';
+    in += part.size();
+    ASSERT_TRUE(fold.add(std::move(part), &settled));
+    out += settled.size();
+    EXPECT_LE(fold.held_bytes(), 64u);
+  }
+  out += fold.finish().size();
+  EXPECT_EQ(out, in);
+  EXPECT_LE(fold.bytes_read(), 2 * out);
 }
 
 }  // namespace

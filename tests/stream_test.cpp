@@ -612,6 +612,86 @@ TEST(Dataflow, CombineFailureFallsBackToBatch) {
   EXPECT_EQ(r.output, "AB\nCD\nEF\nGH\n");
 }
 
+// Compiles `pipeline` as the CLI does: plan, elimination, lowering.
+std::vector<exec::ExecStage> lower(const std::string& pipeline) {
+  static synth::SynthesisCache cache;
+  auto parsed = compile::parse_pipeline(pipeline);
+  EXPECT_TRUE(parsed.has_value()) << pipeline;
+  compile::Plan plan = compile::compile_pipeline(*parsed, cache);
+  compile::eliminate_intermediate_combiners(plan);
+  return compile::lower_plan(plan);
+}
+
+TEST(Dataflow, SeamFoldStreamsUniqCInLinearWorkAndBoundedMemory) {
+  // uniq -c's StructOp combiner folds at the seam: the combiner reads each
+  // part once (not the accumulator per fold), and the node holds
+  // O(parallelism x slice), not the ~20 MiB output.
+  auto stages = lower("uniq -c");
+  ASSERT_EQ(stages.size(), 1u);
+  ASSERT_NE(stages[0].seam_combiner, nullptr) << stages[0].combiner_name;
+  std::string input;
+  for (int i = 0; input.size() < (16u << 20); ++i) {
+    input += "row ";
+    input += std::to_string(i - (i % 5 == 0));  // some seams merge
+    input += '\n';
+  }
+  ExecOptions config;
+  config.parallelism = 4;
+  config.block_size = 64 << 10;
+  config.stats = true;
+  ExecResult r = Executor(config).run_collect(stages, input);
+  ASSERT_TRUE(r.ok) << r.error;
+  EXPECT_FALSE(r.batch_fallback);
+  EXPECT_EQ(r.output, exec::run_serial(stages, input).output);
+  ASSERT_EQ(r.nodes.size(), 1u);
+  EXPECT_TRUE(r.nodes[0].parallel);
+  EXPECT_TRUE(r.nodes[0].streamed_combine);
+  EXPECT_GT(r.nodes[0].combine_bytes, 0u);
+  EXPECT_LE(r.nodes[0].combine_bytes, 2 * r.output.size());
+  const std::size_t slice = 2 * config.block_size;
+  EXPECT_LT(r.peak_inflight_bytes, 8 * 4 * slice);
+  EXPECT_LT(8 * 4 * slice, r.output.size() / 4);
+}
+
+TEST(Dataflow, SeamFoldFailsLoudlyOnAnFdSource) {
+  // A record outside uniq -c's table domain mid-stream makes the fold
+  // undefined after output has gone out: a string source reruns through
+  // batch, an fd source fails with the coded combine-undefined diagnostic.
+  // The stage keeps uniq -c's seam combiner but runs `cat`, so the bad
+  // record reaches the fold.
+  auto stages = lower("uniq -c");
+  ASSERT_NE(stages[0].seam_combiner, nullptr);
+  stages[0].command = cmd::make_command_line("cat");
+  // Distinct rows, so no seam merges them and the fold emits cat's output.
+  std::string input;
+  for (int i = 0; i < 8000; ++i) {
+    if (i == 4000) input += "oops\n";
+    input += "      1 x";
+    input += std::to_string(i);
+    input += '\n';
+  }
+  ExecOptions config;
+  config.parallelism = 4;
+  config.block_size = 1024;
+  ExecResult collected = Executor(config).run_collect(stages, input);
+  ASSERT_TRUE(collected.ok) << collected.error;
+  EXPECT_TRUE(collected.batch_fallback);
+  EXPECT_EQ(collected.output, input);
+
+  FILE* keepalive = nullptr;
+  int fd = temp_fd(input, &keepalive);
+  std::ostringstream out;
+  ExecResult r = Executor(config).run(stages, Source::from_fd(fd), out);
+  fclose(keepalive);
+  EXPECT_FALSE(r.ok);
+  EXPECT_TRUE(r.combine_undefined);
+  EXPECT_NE(r.error.find("incremental combine undefined"), std::string::npos)
+      << r.error;
+  // What went out before the bad part is a prefix of the right answer.
+  EXPECT_FALSE(out.str().empty());
+  EXPECT_EQ(input.compare(0, out.str().size(), out.str()), 0);
+}
+
 TEST(Dataflow, ParallelismOneRunsSequentially) {
   auto stages = word_count_stages();
   std::string input = sample_words();

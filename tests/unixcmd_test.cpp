@@ -503,6 +503,48 @@ TEST(Iconv, PassesAsciiThrough) {
 
 // ------------------------------------------------------------- registry --
 
+// ---------------------------------------------------------------- paste --
+// Goldens from GNU paste under LC_ALL=C.
+
+TEST(Paste, ColumnsFromDashes) {
+  EXPECT_EQ(run("paste - -", "a\nb\nc\n"), "a\tb\nc\t\n");
+  EXPECT_EQ(run("paste -d , - -", "a\nb\nc\nd\n"), "a,b\nc,d\n");
+  EXPECT_EQ(run("paste -d ',;' - - -", "a\nb\nc\nd\n"), "a,b;c\nd,;\n");
+  EXPECT_EQ(run("paste -d '\\0,' - - -", "a\nb\nc\nd\ne\n"), "ab,c\nde,\n");
+}
+
+TEST(Paste, SerialJoinsAllLines) {
+  EXPECT_EQ(run("paste -sd+", "1\n2\n3\n"), "1+2+3\n");
+  EXPECT_EQ(run("paste -s", "a\nb"), "a\tb\n");
+  EXPECT_EQ(run("paste -s -d ,", "a\nb\nc\n"), "a,b,c\n");
+  EXPECT_EQ(run("paste --serial --delimiters=:", "a\nb\nc\n"), "a:b:c\n");
+  EXPECT_EQ(run("paste -s -d ''", "a\nb\nc\n"), "abc\n");
+}
+
+TEST(Paste, SerialCyclesTheDelimiterList) {
+  EXPECT_EQ(run("paste -s -d ',;'", "a\nb\nc\n"), "a,b;c\n");
+  EXPECT_EQ(run("paste -s -d ',;'", "a\n\nb\n"), "a,;b\n");
+  EXPECT_EQ(run("paste -s -d '\\n\\t\\0x'", "a\nb\nc\nd\ne\n"),
+            "a\nb\tcdxe\n");
+  EXPECT_EQ(run("paste -s -d '\\q'", "a\nb\nc\n"), "aqbqc\n");
+}
+
+TEST(Paste, SerialEdgeCases) {
+  EXPECT_EQ(run("paste -s", ""), "\n");
+  EXPECT_EQ(run("paste -s -", "a\nb\n"), "a\tb\n");
+  // A second dash reads the drained stdin: one more, empty line.
+  EXPECT_EQ(run("paste -s - -", "a\nb\nc\n"), "a\tb\tc\n\n");
+}
+
+TEST(Paste, RejectsWhatItCannotRun) {
+  std::string error;
+  EXPECT_EQ(make_command_line("paste -s -d 'x\\'", &error), nullptr);
+  EXPECT_NE(error.find("backslash"), std::string::npos) << error;
+  EXPECT_EQ(make_command_line("paste -", &error), nullptr);
+  EXPECT_EQ(make_command_line("paste -s file", &error), nullptr);
+  EXPECT_EQ(make_command_line("paste -z -", &error), nullptr);
+}
+
 TEST(Registry, UnknownCommandFails) {
   std::string error;
   EXPECT_EQ(make_command_line("frobnicate -x", &error), nullptr);
