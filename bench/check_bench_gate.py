@@ -1,10 +1,13 @@
 #!/usr/bin/env python3
-"""CI bench-regression gate: diff a stream_throughput --json artifact
+"""CI bench-regression gate: diff stream_throughput --json artifacts
 against the checked-in baselines.
 
-    bench/check_bench_gate.py <artifact.json> <baseline.json>
+    bench/check_bench_gate.py <artifact.json>... <baseline.json>
 
-A scenario regresses when it exceeds the baseline by more than the
+Given several artifacts (repeated runs of the same preset), each metric of
+each scenario is gated at its median across them, so one noisy sample on a
+shared runner neither fails nor passes the gate by itself. A scenario
+regresses when that median exceeds the baseline by more than the
 per-metric threshold:
 
   - RSS growth:  max(baseline * 1.25, baseline + 4 MiB)
@@ -32,6 +35,7 @@ Exit status: 0 clean, 1 regression or missing scenario, 2 usage/IO error.
 """
 
 import json
+import statistics
 import sys
 
 RSS_REL = 1.25
@@ -44,34 +48,57 @@ BYTES_READ_REL = 1.25
 BYTES_READ_ABS_FLOOR = 256 * 1024
 
 
+METRICS = ("rss_growth_bytes", "wall_s", "spill_runs", "bytes_read")
+
+
+def median_scenarios(artifacts):
+    """Per scenario, the median of each metric across the artifacts. A
+    scenario absent from any artifact is left out (reported missing)."""
+    runs = [{s["name"]: s for s in a.get("scenarios", [])} for a in artifacts]
+    merged = {}
+    for name in set.intersection(*(set(r) for r in runs)):
+        samples = [r[name] for r in runs]
+        merged[name] = {
+            m: statistics.median(s[m] for s in samples)
+            for m in METRICS
+            if all(m in s for s in samples)
+        }
+    return merged
+
+
 def main() -> int:
-    if len(sys.argv) != 3:
+    if len(sys.argv) < 3:
         print(__doc__, file=sys.stderr)
         return 2
     try:
-        with open(sys.argv[1]) as f:
-            artifact = json.load(f)
-        with open(sys.argv[2]) as f:
+        artifacts = []
+        for path in sys.argv[1:-1]:
+            with open(path) as f:
+                artifacts.append(json.load(f))
+        with open(sys.argv[-1]) as f:
             baseline = json.load(f)
     except (OSError, json.JSONDecodeError) as e:
         print(f"check_bench_gate: {e}", file=sys.stderr)
         return 2
 
-    if artifact.get("input_mb") != baseline.get("input_mb"):
-        print(
-            f"check_bench_gate: artifact ran --mb={artifact.get('input_mb')} "
-            f"but baselines are for --mb={baseline.get('input_mb')}",
-            file=sys.stderr,
-        )
-        return 2
+    for artifact in artifacts:
+        if artifact.get("input_mb") != baseline.get("input_mb"):
+            print(
+                f"check_bench_gate: artifact ran "
+                f"--mb={artifact.get('input_mb')} but baselines are for "
+                f"--mb={baseline.get('input_mb')}",
+                file=sys.stderr,
+            )
+            return 2
 
-    measured = {s["name"]: s for s in artifact.get("scenarios", [])}
+    measured = median_scenarios(artifacts)
+    print(f"bench-gate: medians of {len(artifacts)} run(s)")
     failures = []
     for base in baseline.get("scenarios", []):
         name = base["name"]
         got = measured.get(name)
         if got is None:
-            failures.append(f"{name}: missing from artifact")
+            failures.append(f"{name}: missing from an artifact")
             continue
         rss_limit = max(
             base["rss_growth_bytes"] * RSS_REL,

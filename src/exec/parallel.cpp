@@ -1,7 +1,5 @@
 #include "exec/parallel.h"
 
-#include <memory>
-
 // Thread safety: no locks here by design. Each worker owns its chunk's
 // string exclusively; `chain` and `chunks` are read-only for the duration
 // of the call; and all cross-thread publication happens through
@@ -9,37 +7,60 @@
 // worker's writes before the caller's reads. Commands run through this
 // path must be const-callable from multiple threads (cmd::Command::run is
 // const and stateless; commands that dereference file names go through
-// vfs::Vfs, which locks). run_slice_fused builds fresh processors per call,
-// so processor state never crosses slices or threads.
+// vfs::Vfs, which locks). run_slice_fused builds a fresh Cascade per run of
+// streamable members, so processor state never crosses slices or threads.
 
 namespace kq::exec {
-namespace {
 
-// Cuts `data` into record-aligned pieces of roughly `step` bytes (records
-// longer than a step travel whole) and hands each to `fn`; stops early when
-// `fn` returns false. Same cut rule as the runtime's emit_blocks.
-template <typename Fn>
-void for_each_step(std::string_view data, std::size_t step, char delimiter,
-                   Fn&& fn) {
-  while (data.size() > step) {
-    std::size_t cut = data.rfind(delimiter, step - 1);
-    if (cut == std::string_view::npos) {
-      cut = data.find(delimiter, step);
-      if (cut == std::string_view::npos) break;
-    }
-    if (!fn(data.substr(0, cut + 1))) return;
-    data.remove_prefix(cut + 1);
+Cascade::Cascade(std::span<const cmd::Command* const> commands) {
+  std::size_t j = 0;
+  for (; j < commands.size(); ++j) {
+    const cmd::Streamability s = commands[j]->streamability();
+    if (s != cmd::Streamability::kPerRecord &&
+        s != cmd::Streamability::kPrefix)
+      break;
+    auto p = commands[j]->stream_processor();
+    if (!p) break;
+    procs_.push_back(std::move(p));
   }
-  if (!data.empty()) fn(data);
+  if (j < commands.size() &&
+      commands[j]->streamability() == cmd::Streamability::kWindow)
+    window_ = commands[j]->window_processor();
+  bufs_.resize(procs_.size());
+  done_.assign(procs_.size(), false);
 }
 
-bool cascadable(const cmd::Command& c) {
-  const cmd::Streamability s = c.streamability();
-  return s == cmd::Streamability::kPerRecord ||
-         s == cmd::Streamability::kPrefix;
+void Cascade::feed_from(std::string_view data, std::size_t from,
+                        std::string* out) {
+  const std::size_t m = procs_.size();
+  for (std::size_t p = from; p < m; ++p) {
+    if (done_[p]) return;  // complete: the rest of the run saw all it needs
+    const bool last = !window_ && p + 1 == m;
+    std::string* target = last ? out : &bufs_[p];
+    if (!last) target->clear();
+    if (!procs_[p]->process(data, target)) done_[p] = satisfied_ = true;
+    if (last) return;
+    data = *target;
+  }
+  if (window_) {
+    if (!data.empty()) window_->push(data, out);
+  } else {
+    out->append(data);
+  }
 }
 
-}  // namespace
+void Cascade::flush(std::string* out) {
+  const std::size_t m = procs_.size();
+  std::size_t first = 0;  // the first complete member, or m
+  while (first < m && !done_[first]) ++first;
+  std::string tail;
+  for (std::size_t p = (first < m ? first + 1 : 0); p < m; ++p) {
+    if (done_[p]) continue;
+    tail.clear();
+    procs_[p]->finish(&tail);
+    if (!tail.empty()) feed_from(tail, p + 1, out);
+  }
+}
 
 std::vector<std::string> map_chunks(const cmd::Command& command,
                                     const std::vector<std::string_view>& chunks,
@@ -77,90 +98,35 @@ std::string run_slice_fused(const std::vector<const cmd::Command*>& chain,
   if (step == 0) step = 1;
   std::string owned;
   std::string_view cur = slice;
-  const std::size_t n = chain.size();
-  if (n == 0) return std::string(slice);
-  std::size_t i = 0;
-  while (i < n) {
-    // Streamability speaks about '\n'-delimited records; under a custom
-    // delimiter every stage runs whole (same rule as the runtime).
-    if (delimiter != '\n' ||
-        chain[i]->streamability() == cmd::Streamability::kNone) {
-      owned = chain[i]->run(cur);
-      cur = owned;
-      ++i;
-      continue;
-    }
-
-    // Collect the maximal cascade run: per-record/prefix processors,
-    // optionally terminated by one window stage.
-    std::vector<std::unique_ptr<cmd::StreamProcessor>> procs;
-    std::size_t j = i;
-    while (j < n && cascadable(*chain[j])) {
-      auto p = chain[j]->stream_processor();
-      if (!p) break;  // contract violation; fall back to run() below
-      procs.push_back(std::move(p));
-      ++j;
-    }
-    std::unique_ptr<cmd::WindowProcessor> window;
-    if (j < n && chain[j]->streamability() == cmd::Streamability::kWindow) {
-      window = chain[j]->window_processor();
-      if (window) ++j;
-    }
-    if (j == i) {  // declared streamable but no processor: run whole
-      owned = chain[i]->run(cur);
-      cur = owned;
-      ++i;
-      continue;
-    }
-
-    const std::size_t m = procs.size();
+  for (std::size_t i = 0; i < chain.size();) {
     std::string out;
-    std::vector<std::string> bufs(m);   // intermediates, reused per step
-    std::vector<bool> done(m, false);   // output complete (kPrefix bound)
-    auto feed = [&](std::string_view data, std::size_t from) {
-      std::string_view c = data;
-      for (std::size_t p = from; p < m; ++p) {
-        if (done[p]) return;  // complete: the rest of the run saw all
-        bufs[p].clear();
-        if (!procs[p]->process(c, &bufs[p])) done[p] = true;
-        c = bufs[p];
+    std::size_t taken = 0;
+    // Streamability speaks about '\n'-delimited records; under a custom
+    // delimiter every member runs whole (same rule as the runtime).
+    if (delimiter == '\n') {
+      Cascade cascade(
+          std::span<const cmd::Command* const>(chain).subspan(i));
+      taken = cascade.members();
+      if (taken != 0) {
+        for_each_record_block(cur, step, delimiter, [&](std::string_view b) {
+          cascade.feed(b, &out);
+          return !cascade.satisfied();
+        });
+        cascade.flush(&out);
+        if (cmd::WindowProcessor* window = cascade.window())
+          window->finish([&](std::string_view piece) {
+            out.append(piece);
+            return true;
+          });
       }
-      if (window) {
-        if (!c.empty()) window->push(c, &out);
-      } else {
-        out.append(c);
-      }
-    };
-    auto input_done = [&] {
-      for (std::size_t p = 0; p < m; ++p)
-        if (done[p]) return true;
-      return false;
-    };
-    for_each_step(cur, step, delimiter, [&](std::string_view piece) {
-      feed(piece, 0);
-      return !input_done();
-    });
-    // End-of-slice flush, mirroring run_stream_chain: each still-open
-    // processor's tail cascades through the rest of the run; stages before
-    // a completed one are skipped.
-    std::size_t first = 0;
-    while (first < m && !done[first]) ++first;
-    std::string tail;
-    for (std::size_t p = (first < m ? first + 1 : 0); p < m; ++p) {
-      if (done[p]) continue;
-      tail.clear();
-      procs[p]->finish(&tail);
-      if (!tail.empty()) feed(tail, p + 1);
     }
-    if (window) {
-      window->finish([&](std::string_view piece) {
-        out.append(piece);
-        return true;
-      });
+    if (taken == 0) {  // a black box, or streamable without a processor
+      out = chain[i]->run(cur);
+      taken = 1;
     }
     owned = std::move(out);
     cur = owned;
-    i = j;
+    i += taken;
   }
   if (cur.data() == slice.data() && cur.size() == slice.size())
     return std::string(slice);

@@ -5,15 +5,14 @@
 // only eventual totals, which the post-join aggregation into
 // kq::ExecResult observes after every writer thread has exited).
 //
-// Counter semantics (full prose in docs/OBSERVABILITY.md):
-//   records/bytes in   — blocks pulled from upstream (the node's input)
-//   records/bytes out  — pushes downstream actually accepted
-//   blocks             — input blocks processed
+// Counter semantics (full prose in docs/OBSERVABILITY.md; blocks, bytes
+// and spill totals are the nodes' own kq::NodeMetrics fields, not counters):
+//   records in         — records in the blocks pulled from upstream
+//   records out        — records in pushes downstream actually accepted
 //   send/recv blocked  — wall time spent waiting on a full output channel /
 //                        an empty input channel (node 0's recv side is the
 //                        BlockReader's poll wait); the "blocked %" column
 //   pool hit/miss      — BufferPool acquires served from recycled capacity
-//   spill runs/bytes   — sorted runs and bytes written to disk
 //   shard slices       — slices executed by a parallel segment's workers
 //   worker busy        — wall time the segment's workers spent
 //                        executing slices (summed across workers; compare
@@ -42,15 +41,10 @@ const char* early_exit_name(EarlyExit cause);
 struct StageCounters {
   std::atomic<std::uint64_t> records_in{0};
   std::atomic<std::uint64_t> records_out{0};
-  std::atomic<std::uint64_t> bytes_in{0};
-  std::atomic<std::uint64_t> bytes_out{0};
-  std::atomic<std::uint64_t> blocks{0};
   std::atomic<std::uint64_t> send_blocked_ns{0};
   std::atomic<std::uint64_t> recv_blocked_ns{0};
   std::atomic<std::uint64_t> pool_hits{0};
   std::atomic<std::uint64_t> pool_misses{0};
-  std::atomic<std::uint64_t> spill_runs{0};
-  std::atomic<std::uint64_t> spill_bytes{0};
   std::atomic<std::uint64_t> shard_slices{0};
   std::atomic<std::uint64_t> worker_busy_ns{0};
   std::atomic<int> early_exit{static_cast<int>(EarlyExit::kNone)};

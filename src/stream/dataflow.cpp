@@ -208,17 +208,9 @@ using Push = std::function<bool(std::string&&)>;
 // record boundaries (records longer than a block travel whole).
 bool emit_blocks(std::string_view data, const Push& push,
                  const ExecOptions& config) {
-  while (data.size() > config.block_size) {
-    std::size_t cut = data.rfind(config.delimiter, config.block_size - 1);
-    if (cut == std::string_view::npos) {
-      cut = data.find(config.delimiter, config.block_size);
-      if (cut == std::string_view::npos) break;
-    }
-    if (!push(std::string(data.substr(0, cut + 1)))) return false;
-    data.remove_prefix(cut + 1);
-  }
-  if (!data.empty()) return push(std::string(data));
-  return true;
+  return exec::for_each_record_block(
+      data, config.block_size, config.delimiter,
+      [&](std::string_view block) { return push(std::string(block)); });
 }
 
 // Per-parallel-segment runtime state. `completion` lets the driver wait for
@@ -657,13 +649,6 @@ void run_collector(const Segment& seg, ParallelCtx& ctx, NodeMetrics& metrics,
     metrics.spilled_bytes = spool->spilled_bytes();
   }
   if (seam) metrics.combine_bytes = seam->bytes_read();
-  if (tele.counters) {
-    tele.counters->spill_runs.store(
-        static_cast<std::uint64_t>(metrics.spill_runs),
-        std::memory_order_relaxed);
-    tele.counters->spill_bytes.store(metrics.spilled_bytes,
-                                     std::memory_order_relaxed);
-  }
   close_out();
 }
 
@@ -736,13 +721,6 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
     }
     metrics.spilled_bytes = sorter.spilled_bytes();
     metrics.spill_runs = sorter.runs_spilled();
-    if (tele.counters) {
-      tele.counters->spill_runs.store(
-          static_cast<std::uint64_t>(metrics.spill_runs),
-          std::memory_order_relaxed);
-      tele.counters->spill_bytes.store(metrics.spilled_bytes,
-                                       std::memory_order_relaxed);
-    }
     if (!ok && !shared.halted() && !out_closed())
       shared.fail("external sort failed for stage '" +
                   stage.command->display_name() + "': " + sorter.error());
@@ -773,9 +751,6 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
   }
   if (!shared.halted() && !abandoned) {
     metrics.spilled_bytes = spool.spilled_bytes();
-    if (tele.counters)
-      tele.counters->spill_bytes.store(metrics.spilled_bytes,
-                                       std::memory_order_relaxed);
     std::string all;
     if (ok) ok = spool.take(&all);
     if (!ok) {
@@ -796,17 +771,18 @@ void run_sequential(const Segment& seg, NodeMetrics& metrics, const Pull& pull,
 }
 
 // Per-block stream-chain node: the fused run of declared-streamable stages
-// (exec::MemoryClass::kStatelessStream). Each pulled block cascades through
-// the chain's StreamProcessors and the final output is pushed downstream —
-// nothing is accumulated, so the node holds O(block) regardless of input
-// size. When a prefix-bounded processor (head) reports its output complete,
-// the node stops pulling and cancels upstream so the whole graph behind it
+// (exec::MemoryClass::kStatelessStream), optionally window-terminated,
+// driven through one exec::Cascade. Each pulled block cascades into a
+// pooled buffer that is pushed downstream — nothing is accumulated, so the
+// node holds O(block) (plus the window) regardless of input size. When the
+// cascade is satisfied (a prefix stage like head has all it needs), the
+// node stops pulling and cancels upstream so the whole graph behind it
 // (ultimately the BlockReader) stops; when downstream closes, the same
-// cancellation propagates backward. Chain-intermediate buffers are reused
-// across blocks, consumed input blocks return to the shared pool, and push
-// buffers come from it — stateful processors (tr, sed, head) then append
-// into recycled capacity; PerBlockProcessor-backed stages still pay their
-// execute()'s internal allocation, which the pool cannot reach.
+// cancellation propagates backward. Consumed input blocks return to the
+// shared pool and push buffers come from it, so stateful processors (tr,
+// sed, head) append into recycled capacity; PerBlockProcessor-backed
+// stages still pay their execute()'s internal allocation, which the pool
+// cannot reach.
 void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
                       const Pull& pull, const Push& push,
                       const std::function<void()>& close_out,
@@ -820,34 +796,24 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
       tele.counters ? &tele.counters->pool_hits : nullptr;
   std::atomic<std::uint64_t>* pool_misses =
       tele.counters ? &tele.counters->pool_misses : nullptr;
-  const std::size_t n = seg.chain.size();
-  // A window terminal (seg.window) absorbs the chain's output into a
-  // WindowProcessor instead of pushing it; the first m stages are ordinary
-  // per-block StreamProcessors.
-  const std::size_t m = seg.window ? n - 1 : n;
-  std::vector<std::unique_ptr<cmd::StreamProcessor>> procs;
-  procs.reserve(m);
-  for (std::size_t j = 0; j < m; ++j) {
-    auto p = seg.chain[j]->command->stream_processor();
-    if (!p) {  // classification bug; fail loudly rather than drop data
-      shared.fail("stage '" + seg.chain[j]->command->display_name() +
-                  "' classified streamable but has no stream processor");
-      close_out();
-      return;
-    }
-    procs.push_back(std::move(p));
+  std::vector<const cmd::Command*> commands;
+  for (const exec::ExecStage* stage : seg.chain)
+    commands.push_back(stage->command.get());
+  exec::Cascade cascade(commands);
+  if (cascade.members() != commands.size()) {
+    // A classification bug: fail loudly rather than drop data.
+    const std::size_t j = cascade.members();
+    const bool window_missing = seg.window && j + 1 == commands.size();
+    shared.fail("stage '" + commands[j]->display_name() +
+                (window_missing
+                     ? "' classified window-bounded but has no window "
+                       "processor"
+                     : "' classified streamable but has no stream processor"));
+    close_out();
+    return;
   }
   const exec::ExecStage* wstage = seg.window ? seg.chain.back() : nullptr;
-  std::unique_ptr<cmd::WindowProcessor> window;
-  if (wstage) {
-    window = wstage->command->window_processor();
-    if (!window) {
-      shared.fail("stage '" + wstage->command->display_name() +
-                  "' classified window-bounded but has no window processor");
-      close_out();
-      return;
-    }
-  }
+  cmd::WindowProcessor* window = cascade.window();
 
   // A sort -u window whose distinct set outgrows the spill threshold
   // exports sorted runs to disk (the window state is itself a sorted -u
@@ -886,62 +852,22 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     return true;
   };
 
-  std::vector<std::string> bufs(m);      // intermediates, reused per block
-  std::vector<bool> done(m, false);      // output complete (kPrefix bound)
-  bool pushed_ok = true;
-
-  // Cascades `data` through processors [from, m); the result is absorbed
-  // by the window terminal when there is one, pushed downstream otherwise.
-  // from == m delivers `data` itself (finish() tails).
-  auto feed = [&](std::string_view data, std::size_t from) -> bool {
-    std::string_view cur = data;
-    std::string out;  // pooled buffer holding the final emission
-    bool have_out = false;
-    for (std::size_t j = from; j < m; ++j) {
-      if (done[j]) return true;  // complete: the rest of the chain saw all
-      std::string* target = &bufs[j];
-      if (!window && j + 1 == m) {
-        out = shared.pool.acquire(pool_hits, pool_misses);
-        target = &out;
-        have_out = true;
-      }
-      target->clear();
-      if (!procs[j]->process(cur, target)) done[j] = true;
-      cur = *target;
-    }
-    if (window) {
-      if (cur.empty()) return true;
-      out = shared.pool.acquire(pool_hits, pool_misses);
-      window->push(cur, &out);  // emits only what later input can't change
-      if (!spill_window()) {
-        shared.pool.release(std::move(out));
-        return false;
-      }
-      if (out.empty()) {
-        shared.pool.release(std::move(out));
-        return true;
-      }
-    } else {
-      if (cur.empty()) {
-        if (have_out) shared.pool.release(std::move(out));
-        return true;
-      }
-      if (!have_out) out.assign(cur);
+  // Pushes a cascade output downstream (an empty one goes back to the
+  // pool); out_bytes counts only what downstream accepted.
+  auto emit = [&](std::string&& out) -> bool {
+    if (out.empty()) {
+      shared.pool.release(std::move(out));
+      return true;
     }
     const std::size_t pushed = out.size();
     if (!push(std::move(out))) return false;
-    metrics.out_bytes += pushed;  // count only what downstream accepted
+    metrics.out_bytes += pushed;
     return true;
   };
 
-  auto input_done = [&] {
-    for (std::size_t j = 0; j < m; ++j)
-      if (done[j]) return true;  // some stage needs no further input
-    return false;
-  };
-
+  bool pushed_ok = true;
   bool down_closed = false;
-  while (!input_done()) {
+  while (!cascade.satisfied()) {
     auto piece = pull();
     if (!piece) break;
     if (shared.halted()) break;
@@ -954,7 +880,10 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     {
       auto span = obs::span(tele.tracer, "process-block", "block");
       span.arg("bytes", piece->size());
-      pushed_ok = feed(*piece, 0);
+      // A window terminal emits only what later input can't change.
+      std::string out = shared.pool.acquire(pool_hits, pool_misses);
+      cascade.feed(*piece, &out);
+      pushed_ok = spill_window() && emit(std::move(out));
     }
     shared.pool.release(std::move(*piece));
     if (!pushed_ok) {
@@ -963,7 +892,7 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
     }
   }
 
-  const bool early = input_done();
+  const bool early = cascade.satisfied();
   if (tele.counters) {
     if (early)
       tele.counters->note_early_exit(obs::EarlyExit::kPrefixSatisfied);
@@ -973,23 +902,13 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   if ((early || down_closed) && !shared.halted()) cancel_upstream();
 
   if (pushed_ok && !down_closed && !shared.halted()) {
-    // End-of-input flush: tail state of each still-open processor cascades
-    // through the rest of the chain (and into the window terminal). Stages
-    // before a completed one are skipped — their output could only feed a
-    // stage that needs nothing.
-    std::size_t first = 0;
-    while (first < m && !done[first]) ++first;
+    // End-of-input flush: the processors' tails cascade through the rest
+    // of the chain (and into the window terminal). Built-in processors
+    // have no tail, so this buffer is usually empty and stays unpooled.
     std::string tail;
-    bool flushed_ok = true;
-    for (std::size_t j = (first < m ? first + 1 : 0); j < m; ++j) {
-      if (done[j]) continue;
-      tail.clear();
-      procs[j]->finish(&tail);
-      if (!tail.empty() && !feed(tail, j + 1)) {
-        flushed_ok = false;
-        break;
-      }
-    }
+    cascade.flush(&tail);
+    const bool flushed_ok =
+        spill_window() && (tail.empty() || emit(std::move(tail)));
     if (window && flushed_ok && !shared.halted()) {
       if (merger) {
         // Spilled window: seal any cross-record residue into the window
@@ -1059,13 +978,6 @@ void run_stream_chain(const Segment& seg, NodeMetrics& metrics,
   if (merger) {
     metrics.spilled_bytes = merger->spilled_bytes();
     metrics.spill_runs = merger->runs_spilled();
-    if (tele.counters) {
-      tele.counters->spill_runs.store(
-          static_cast<std::uint64_t>(metrics.spill_runs),
-          std::memory_order_relaxed);
-      tele.counters->spill_bytes.store(metrics.spilled_bytes,
-                                       std::memory_order_relaxed);
-    }
   }
   close_out();
 }
@@ -1278,11 +1190,12 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
     NodeMetrics& metrics = result.nodes[i];
     const NodeTelemetry& tele = teles[i];
 
-    // Stats wrappers: count blocks/bytes/records crossing the node's
-    // boundaries without touching the node implementations. Pulled blocks
-    // are record-aligned (BlockReader/emit_blocks cut at delimiters), so
-    // per-block record counts sum exactly; pushes count only what
-    // downstream accepted.
+    // Stats wrappers: count records crossing the node's boundaries without
+    // touching the node implementations (blocks and bytes are the nodes'
+    // own NodeMetrics). Pulled blocks are record-aligned (every cut is
+    // exec::for_each_record_block's or the BlockReader's), so per-block
+    // record counts sum exactly; pushes count only what downstream
+    // accepted.
     if (tele.counters) {
       obs::StageCounters* sc = tele.counters;
       const char delim = config.delimiter;
@@ -1290,21 +1203,16 @@ ExecResult run_dataflow(const std::vector<exec::ExecStage>& stages,
       pull = [base_pull = std::move(base_pull), sc,
               delim]() -> std::optional<std::string> {
         std::optional<std::string> piece = base_pull();
-        if (piece) {
-          sc->blocks.fetch_add(1, std::memory_order_relaxed);
-          sc->bytes_in.fetch_add(piece->size(), std::memory_order_relaxed);
+        if (piece)
           sc->records_in.fetch_add(obs::count_records(*piece, delim),
                                    std::memory_order_relaxed);
-        }
         return piece;
       };
       Push base_push = std::move(push);
       push = [base_push = std::move(base_push), sc,
               delim](std::string&& bytes) {
-        const std::uint64_t out_bytes = bytes.size();
         const std::uint64_t out_records = obs::count_records(bytes, delim);
         if (!base_push(std::move(bytes))) return false;
-        sc->bytes_out.fetch_add(out_bytes, std::memory_order_relaxed);
         sc->records_out.fetch_add(out_records, std::memory_order_relaxed);
         return true;
       };

@@ -12,10 +12,12 @@
 //     per-record filters/maps like grep/tr/cut/sed, prefix-bounded head)
 //     run per block through cmd::StreamProcessors, with adjacent streamable
 //     stages fused into one chain node — a `grep | tr | cut` chain costs
-//     one channel hop — and a satisfied prefix (head) closes its input,
-//     the close propagating upstream channel by channel until the
-//     BlockReader stops reading: `head -n 10` costs O(blocks), not
-//     O(input);
+//     one channel hop. The node drives one exec::Cascade, the fused-chain
+//     executor the parallel workers also run over each slice
+//     (exec::run_slice_fused), so both cascade blocks the same way. A
+//     satisfied prefix (head) closes its input, the close propagating
+//     upstream channel by channel until the BlockReader stops reading:
+//     `head -n 10` costs O(blocks), not O(input);
 //   - window-bounded stages (exec::MemoryClass::kWindowStream: tail -n N,
 //     uniq, wc, sort -u, and the fused top-n/top-k rewrite stages from
 //     compile::rewrite_bounded_windows) absorb blocks into a

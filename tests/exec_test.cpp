@@ -1,6 +1,7 @@
 // Tests for the parallel runtime: newline-aligned splitting, the thread
-// pool, chunk mapping, and the staged pipeline runner (optimized and
-// unoptimized modes, combine-failure fallback).
+// pool, chunk mapping, the fused-chain Cascade and its two drivers, and
+// the staged pipeline runner (optimized and unoptimized modes,
+// combine-failure fallback).
 
 #include <gtest/gtest.h>
 
@@ -121,6 +122,143 @@ TEST(MapChunksChain, AppliesStagesInOrder) {
   auto outputs = map_chunks_chain(chain, {"abc\n"}, pool);
   ASSERT_EQ(outputs.size(), 1u);
   EXPECT_EQ(outputs[0], "CBA\n");
+}
+
+// -------------------------------------------------------------- cascade --
+
+// Differential: one fused chain through exec::Cascade's two drivers —
+// run_slice_fused (the parallel worker body) and a k=1 stream-chain node —
+// at several step sizes, against chained Command::run.
+// `grep | head -n 3 | tr` has a prefix member mid-chain (the cascade is
+// satisfied early and its tail flush skips the members before head);
+// `tr -s ' ' | uniq -c` ends in a window terminal. The `lag` variants put
+// finish() tails on both sides of the prefix member and into the window.
+std::string cascade_input() {
+  std::string input;
+  const char* lines[] = {"a  b   c", "b a", "b a", "  spaced  out  ", "xyz",
+                         "aaa",      "aaa", "b",   "cab  cab",        ""};
+  for (int rep = 0; rep < 40; ++rep)
+    for (const char* l : lines) input += std::string(l) + "\n";
+  input += "a tail   without newline";
+  return input;
+}
+
+// An identity command whose processor emits each block one call late, so
+// its output tail arrives only through finish() — the path the cascade's
+// end-of-input flush exists for (the built-in processors emit everything
+// in process()).
+class LagCommand final : public cmd::Command {
+ public:
+  LagCommand() : Command("lag") {}
+  cmd::Result execute(std::string_view input) const override {
+    return {std::string(input), 0, {}};
+  }
+  cmd::Streamability streamability() const override {
+    return cmd::Streamability::kPerRecord;
+  }
+  std::unique_ptr<cmd::StreamProcessor> stream_processor() const override {
+    struct Lag final : cmd::StreamProcessor {
+      std::string held;
+      bool process(std::string_view block, std::string* out) override {
+        out->append(held);
+        held.assign(block);
+        return true;
+      }
+      void finish(std::string* out) override { out->append(held); }
+    };
+    return std::make_unique<Lag>();
+  }
+};
+
+cmd::CommandPtr make_stage(const std::string& name) {
+  if (name == "lag") return std::make_shared<LagCommand>();
+  return cmd::make_command_line(name);
+}
+
+// The chain as sequential stages, tagged with the memory classes
+// compile::lower_plan gives them, so the stream runtime fuses them into
+// one stream-chain node.
+std::vector<ExecStage> sequential_stages(
+    const std::vector<cmd::CommandPtr>& commands) {
+  std::vector<ExecStage> stages;
+  for (const cmd::CommandPtr& c : commands) {
+    ExecStage s;
+    s.command = c;
+    s.memory_class = c->streamability() == cmd::Streamability::kWindow
+                         ? MemoryClass::kWindowStream
+                         : MemoryClass::kStatelessStream;
+    stages.push_back(std::move(s));
+  }
+  return stages;
+}
+
+TEST(Cascade, DriversMatchChainedRun) {
+  const std::vector<std::vector<std::string>> chains = {
+      {"grep a", "head -n 3", "tr a-z A-Z"},
+      {"tr -s ' '", "uniq -c"},
+      {"lag", "grep a", "head -n 3", "lag", "tr a-z A-Z"},
+      {"tr -s ' '", "lag", "uniq -c"},
+  };
+  const std::string input = cascade_input();
+  for (const auto& names : chains) {
+    std::vector<cmd::CommandPtr> owned;
+    std::vector<const cmd::Command*> chain;
+    std::string expect = input;
+    for (const std::string& name : names) {
+      owned.push_back(make_stage(name));
+      ASSERT_NE(owned.back(), nullptr) << name;
+      chain.push_back(owned.back().get());
+      expect = owned.back()->run(expect);
+    }
+    std::string label;
+    for (const std::string& name : names)
+      label += (label.empty() ? "" : " | ") + name;
+    ASSERT_FALSE(expect.empty()) << label;
+    for (std::size_t step : {std::size_t(1), std::size_t(7),
+                             std::size_t(64) << 10}) {
+      EXPECT_EQ(run_slice_fused(chain, input, step), expect)
+          << label << " step=" << step;
+      ExecOptions options;
+      options.parallelism = 1;
+      options.block_size = step;
+      ExecResult r = Executor(options).run_collect(
+          sequential_stages(owned), input);
+      ASSERT_TRUE(r.ok) << r.error;
+      ASSERT_EQ(r.nodes.size(), 1u) << label;
+      EXPECT_TRUE(r.nodes[0].per_block) << label;
+      EXPECT_EQ(r.output, expect) << label << " step=" << step;
+    }
+  }
+}
+
+TEST(Cascade, SatisfiedPrefixStopsFeeding) {
+  cmd::CommandPtr head = cmd::make_command_line("head -n 2");
+  cmd::CommandPtr upper = cmd::make_command_line("tr a-z A-Z");
+  const std::vector<const cmd::Command*> chain = {head.get(), upper.get()};
+  Cascade cascade(chain);
+  ASSERT_EQ(cascade.members(), 2u);
+  EXPECT_EQ(cascade.window(), nullptr);
+  std::string out;
+  cascade.feed("a\n", &out);
+  EXPECT_FALSE(cascade.satisfied());
+  cascade.feed("b\nc\n", &out);
+  EXPECT_TRUE(cascade.satisfied());
+  cascade.feed("d\n", &out);  // past the bound: appends nothing
+  cascade.flush(&out);
+  EXPECT_EQ(out, "A\nB\n");
+}
+
+TEST(Cascade, TakesTheLongestCascadablePrefix) {
+  cmd::CommandPtr grep = cmd::make_command_line("grep a");
+  cmd::CommandPtr uniq = cmd::make_command_line("uniq");
+  cmd::CommandPtr sort = cmd::make_command_line("sort");
+  const std::vector<const cmd::Command*> chain = {grep.get(), uniq.get(),
+                                                  sort.get()};
+  Cascade cascade(chain);
+  EXPECT_EQ(cascade.members(), 2u);  // a window ends the run
+  EXPECT_NE(cascade.window(), nullptr);
+  const std::vector<const cmd::Command*> black_box = {sort.get()};
+  EXPECT_EQ(Cascade(black_box).members(), 0u);
 }
 
 // --------------------------------------------------------------- runner --
